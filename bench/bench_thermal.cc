@@ -2,8 +2,8 @@
  * @file
  * Thermal scenario bench: sweeps the ambient-temperature axis for the
  * headline policies and reports how the refresh/energy trade-off moves
- * with die temperature.  Shares the sweep result cache (thermal rows
- * are ambient-keyed), honours REFRINT_REFS / REFRINT_APPS /
+ * with die temperature.  Shares the benches' result store (thermal
+ * rows are ambient-keyed), honours REFRINT_REFS / REFRINT_APPS /
  * REFRINT_JOBS, and with --json PATH emits a machine-readable perf
  * snapshot (wall time, simulations executed, rows produced) so CI can
  * track the thermal sweep's cost over time.
@@ -33,10 +33,9 @@ main(int argc, char **argv)
                      RefreshPolicy::refrint(DataPolicy::Valid),
                      RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
     spec.ambients = {45.0, 65.0, 85.0};
-    spec.sim.refsPerCore = bench::defaultRefs();
 
     const auto t0 = std::chrono::steady_clock::now();
-    const SweepResult s = runSweep(std::move(spec));
+    const SweepResult s = bench::benchSweep(std::move(spec));
     const double wallSec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)

@@ -10,7 +10,7 @@
  *   Scenario        -> one fully-specified run point (a value)
  *   ExperimentPlan  -> scenarios + their normalization baselines
  *   ResultSink      -> streaming observer (here: a custom printer)
- *   Session         -> owns the cache/workers, executes the plan
+ *   Session         -> owns the store/workers, executes the plan
  */
 
 #include <cstdio>
@@ -35,7 +35,7 @@ class TickerSink : public ResultSink
     {
         std::printf("row %zu/%zu  %-22s %s", index + 1, plan.size(),
                     plan.scenarios[index].key().str().c_str(),
-                    simulated ? "simulated" : "from cache");
+                    simulated ? "simulated" : "from store");
         if (norm != nullptr)
             std::printf("  (mem %.3fx of SRAM)", norm->memEnergy);
         std::printf("\n");
@@ -71,11 +71,11 @@ main()
                 plan.name.c_str(), plan.size(),
                 plan.toJson().size());
 
-    // Run it.  The Session owns the result cache (here: in-memory
-    // only) and the worker pool; rows stream to the sinks in plan
-    // order.
+    // Run it.  The Session owns the result store (here: none, so
+    // every scenario simulates) and the worker pool; rows stream to
+    // the sinks in plan order.
     TickerSink ticker;
-    Session session(SessionOptions{/*cachePath=*/"", /*jobs=*/2});
+    Session session(/*store=*/nullptr, /*jobs=*/2);
     const SweepResult result = session.run(plan, {&ticker});
 
     // The aggregate is the same SweepResult the paper harness uses,

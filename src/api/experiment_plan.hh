@@ -76,8 +76,8 @@ struct ExperimentPlan
     /**
      * Flatten a sweep spec into a plan, in the exact legacy order:
      * per machine, per app, the SRAM baseline first, then ambient x
-     * retention x policy.  Finalizes the spec (paper defaults, env
-     * overrides) first.
+     * retention x policy.  Finalizes the spec first: an empty axis
+     * takes the paper default.  The environment is never read.
      */
     static ExperimentPlan fromSweepSpec(SweepSpec spec);
 

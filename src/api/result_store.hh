@@ -4,22 +4,17 @@
  *
  * A result store maps canonical scenario keys (ScenarioKey::str()) to
  * the numeric payload of one simulated run.  Session only ever talks
- * to this interface; the two implementations are
- *
- *   RunCache      (api/run_cache.hh)  — the legacy single-CSV-file
- *                 cache, one mutex, full-rewrite persistence.  Kept as
- *                 the default for the classic sweep workflow and as
- *                 the read-only import path for `cache migrate`.
- *   ShardedStore  (service/store.hh)  — the content-addressed store of
- *                 the experiment service: keys hash into N append-only
- *                 shard files with length+checksum record framing, so
- *                 multiple writer *processes* can append concurrently
- *                 and a mid-write crash can never corrupt a committed
- *                 row.
+ * to this interface, which keeps api/ independent of service/; the one
+ * implementation is ShardedStore (service/store.hh), the
+ * content-addressed store of the experiment service: keys hash into N
+ * append-only shard files with length+checksum record framing, so
+ * multiple writer *processes* can append concurrently and a mid-write
+ * crash can never corrupt a committed row.  A Session without a store
+ * simply simulates every scenario.
  *
  * The row payload (CacheRow) and its exact %.17g text codec live here
- * so both implementations — and the migrate tool — serialize rows
- * byte-identically.
+ * so the store, the `cache migrate` import of legacy CSV caches, and
+ * the goldens serialize rows byte-identically.
  */
 
 #ifndef REFRINT_API_RESULT_STORE_HH

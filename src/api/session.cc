@@ -6,7 +6,6 @@
 #include <map>
 #include <mutex>
 
-#include "api/run_cache.hh"
 #include "common/arena.hh"
 #include "common/log.hh"
 #include "harness/pool.hh"
@@ -57,16 +56,9 @@ machineMemoKey(const Scenario &sc)
 
 } // namespace
 
-Session::Session(SessionOptions opts)
-    : jobs_(opts.jobs),
-      store_(std::make_unique<RunCache>(std::move(opts.cachePath)))
-{
-}
-
 Session::Session(std::unique_ptr<ResultStore> store, unsigned jobs)
     : jobs_(jobs), store_(std::move(store))
 {
-    panicIf(store_ == nullptr, "Session needs a result store");
 }
 
 Session::~Session() = default;
@@ -155,7 +147,7 @@ Session::run(const ExperimentPlan &plan,
         sk.energy = energyTag;
         const std::string key = sk.str();
         CacheRow row;
-        if (store_->lookup(key, row)) {
+        if (store_ != nullptr && store_->lookup(key, row)) {
             RunResult r = runFromCacheRow(sc.app, sc.config,
                                           sc.retentionUs,
                                           sc.machineLabel(), row);
@@ -211,7 +203,8 @@ Session::run(const ExperimentPlan &plan,
             reconstructEnergyMatrix(
                 r.energy, plan.energy, mit->second, r.execTicks,
                 static_cast<double>(r.counts.l3Refreshes));
-            store_->insert(key, cacheRowOf(r));
+            if (store_ != nullptr)
+                store_->insert(key, cacheRowOf(r));
             simulated.fetch_add(1, std::memory_order_relaxed);
             simulatedFlag[i] = 1;
             results[i] = std::move(r);
@@ -225,7 +218,8 @@ Session::run(const ExperimentPlan &plan,
         done[i] = 1;
         emitReadyLocked();
     });
-    store_->flush();
+    if (store_ != nullptr)
+        store_->flush();
 
     out.simulations = simulated.load();
     out.metrics.scenarios = n;

@@ -1,63 +1,45 @@
 /**
  * @file
- * Session: the facade that runs experiment plans.
+ * Session: the facade that runs experiment plans — the one way to run
+ * a plan.
  *
- * A Session owns the persistent run cache and the worker configuration;
- * Session::run(plan, sinks) executes every scenario of a plan —
- * cache-first, in parallel, results streamed to the sinks in plan
- * order — and returns the same SweepResult aggregate the legacy
- * runSweep() produced.  runSweep(), the thermal study, and the figure
- * pipeline are all thin plan-builders over this one entry point.
+ * A Session owns an optional result store and the worker
+ * configuration; Session::run(plan, sinks) executes every scenario of
+ * a plan — store-first, in parallel, results streamed to the sinks in
+ * plan order — and returns the SweepResult aggregate.  The CLI
+ * commands, the thermal study, the figure pipeline and the figure
+ * benches all build a plan and hand it to this one entry point.
  *
- * Determinism contract (inherited from the legacy sweep engine):
- * results land in plan order regardless of completion order, every run
- * simulates with its own CmpSystem/EventQueue and scenario-derived
- * seeds, so jobs=N output is bit-identical to jobs=1, and the default
- * paper plan reproduces the legacy sweep — stdout, cache keys and rows
- * — byte for byte.
+ * Determinism contract: results land in plan order regardless of
+ * completion order, every run simulates with its own
+ * CmpSystem/EventQueue and scenario-derived seeds, so jobs=N output is
+ * bit-identical to jobs=1, and the default paper plan reproduces the
+ * legacy sweep — stdout, store keys and rows — byte for byte.
  */
 
 #ifndef REFRINT_API_SESSION_HH
 #define REFRINT_API_SESSION_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "api/experiment_plan.hh"
 #include "api/result_sink.hh"
+#include "api/result_store.hh"
 #include "harness/sweep.hh"
 
 namespace refrint
 {
 
-class ResultStore;
-
-struct SessionOptions
-{
-    /** Result cache location; empty disables persistence.  Defaults
-     *  to $REFRINT_CACHE or ./refrint_sweep_cache.csv. */
-    std::string cachePath;
-
-    /** Worker threads; 0 means $REFRINT_JOBS, or serial if unset. */
-    unsigned jobs = 0;
-
-    SessionOptions() : cachePath(defaultCachePath()) {}
-    SessionOptions(std::string cache, unsigned j)
-        : cachePath(std::move(cache)), jobs(j)
-    {
-    }
-};
-
 class Session
 {
   public:
-    explicit Session(SessionOptions opts = {});
-
     /**
-     * Run against an explicit result store (e.g. the experiment
-     * service's ShardedStore) instead of the legacy single-file cache.
-     * @p jobs as in SessionOptions.
+     * Run plans against @p store (the experiment service's
+     * ShardedStore, or any other ResultStore).  A null store means no
+     * lookups and no inserts: every scenario simulates.  @p jobs is
+     * the worker-thread count; 0 means $REFRINT_JOBS, or serial if
+     * that is unset.
      */
     Session(std::unique_ptr<ResultStore> store, unsigned jobs);
 
@@ -67,13 +49,13 @@ class Session
     Session &operator=(const Session &) = delete;
 
     /**
-     * Execute @p plan: cached scenarios load instantly, the rest
+     * Execute @p plan: stored scenarios load instantly, the rest
      * simulate on up to `jobs` workers.  Rows stream to @p sinks in
      * plan order (serialized — sinks need no locking); the store is
      * flushed before end() fires.  The store stays loaded across
      * run() calls, so successive plans in one session share warm rows.
      * The returned SweepResult carries RunMetrics (simulated vs.
-     * cache-hit counts, wall time, worker utilization).
+     * store-hit counts, wall time, worker utilization).
      *
      * @p deadlineSeconds > 0 bounds the run's wall time cooperatively:
      * once the budget is spent, scenarios that have not yet STARTED

@@ -2,12 +2,12 @@
  * @file
  * Strict environment-variable parsing.
  *
- * The harness and the benches both read numeric knobs from the
- * environment (REFRINT_REFS, REFRINT_JOBS).  atoll-style parsing
- * silently turns garbage like "1e6" into 1, which makes a 120'000-ref
- * sweep quietly run one reference per core — so parsing is strict
- * here: plain decimal digits only, and anything else is rejected with
- * a warning.
+ * The worker pool reads $REFRINT_JOBS, the benches their own
+ * numeric settings, and the CLI its numeric flags.  atoll-style
+ * parsing silently turns garbage like "1e6" into 1, which makes a
+ * 120'000-ref sweep quietly run one reference per core — so parsing is
+ * strict here: plain decimal digits only, and anything else is
+ * rejected with a warning.
  */
 
 #ifndef REFRINT_COMMON_ENV_HH

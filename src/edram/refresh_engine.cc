@@ -511,13 +511,18 @@ RefrintEngine::maybeSchedule()
 }
 
 void
-RefrintEngine::onRetentionRescaled(double, Tick)
+RefrintEngine::onRetentionRescaled(double, Tick now)
 {
     // Line sentry expiries were just re-stamped; re-key every armed
     // group to its new deadline in place.  The superseded deadline is
     // kept as a ghost wake time so the engine's kernel wake schedule
     // (and with it every later event's tie-break position) matches the
     // historical duplicate-entry heap tick for tick.
+    //
+    // A group's key is not lowered when onInstall/onAccess renew one
+    // of its sentries, so after a warming rescale a renewed sentry can
+    // sit before the key — and this rescale can then map it to a tick
+    // already past.  Such a group is due now, never in the past.
     for (std::uint32_t g = 0; g < numGroups_; ++g) {
         if (!heap_.contains(g))
             continue;
@@ -528,7 +533,7 @@ RefrintEngine::onRetentionRescaled(double, Tick)
         if (dl == kTickNever)
             heap_.remove(g);
         else
-            armGroup(g, dl);
+            armGroup(g, std::max(dl, now));
     }
     scheduledAt_ = kTickNever;
     maybeSchedule();

@@ -1,14 +1,8 @@
 #include "harness/sweep.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
 
-#include "api/experiment_plan.hh"
-#include "api/session.hh"
-#include "common/env.hh"
 #include "common/log.hh"
-#include "harness/pool.hh"
 
 namespace refrint
 {
@@ -50,14 +44,6 @@ paperRetentions()
     return {usToTicks(50.0), usToTicks(100.0), usToTicks(200.0)};
 }
 
-std::string
-defaultCachePath()
-{
-    if (const char *p = std::getenv("REFRINT_CACHE"))
-        return p;
-    return "refrint_sweep_cache.csv";
-}
-
 void
 SweepSpec::finalize()
 {
@@ -67,24 +53,6 @@ SweepSpec::finalize()
         retentions = paperRetentions();
     if (policies.empty())
         policies = paperPolicySweep();
-    const std::uint64_t refs = envU64("REFRINT_REFS", 0);
-    if (refs > 0)
-        sim.refsPerCore = refs;
-    if (const char *a = std::getenv("REFRINT_APPS")) {
-        // Comma-separated allow list, e.g. REFRINT_APPS=fft,lu
-        std::vector<const Workload *> keep;
-        std::stringstream ss(a);
-        std::string tok;
-        while (std::getline(ss, tok, ',')) {
-            if (const Workload *w = findWorkload(tok))
-                keep.push_back(w);
-            else
-                warn("REFRINT_APPS: unknown app '%s'", tok.c_str());
-        }
-        if (!keep.empty())
-            apps = keep;
-    }
-    jobs = resolveJobs(jobs);
 }
 
 namespace
@@ -202,16 +170,6 @@ SweepResult::find(const std::string &app, double retentionUs,
             return &r;
     }
     return nullptr;
-}
-
-SweepResult
-runSweep(SweepSpec spec, const std::string &cachePath)
-{
-    // fromSweepSpec finalizes the spec; the Session resolves jobs the
-    // same way finalize would (explicit value, else $REFRINT_JOBS).
-    const unsigned jobs = spec.jobs;
-    Session session(SessionOptions{cachePath, jobs});
-    return session.run(ExperimentPlan::fromSweepSpec(std::move(spec)));
 }
 
 } // namespace refrint

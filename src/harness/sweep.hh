@@ -5,9 +5,12 @@
  * WB(16,16), WB(32,32)} per application, plus one SRAM baseline run per
  * application — 43 runs per app.
  *
- * A sweep is expensive (473 simulations at full size), so results are
- * cached in a CSV file keyed by every parameter that affects them; all
- * figure benches share the cache, and re-running a bench is free.
+ * SweepSpec is a plain value of the sweep's axes;
+ * ExperimentPlan::fromSweepSpec (api/experiment_plan.hh) flattens it
+ * into a plan, and Session::run (api/session.hh) executes the plan
+ * into a SweepResult.  A sweep is expensive (473 simulations at full
+ * size), so a session given a ShardedStore persists each row under a
+ * key of every parameter that affects it; a repeat run is free.
  */
 
 #ifndef REFRINT_HARNESS_SWEEP_HH
@@ -60,7 +63,7 @@ struct SweepSpec
     /**
      * Machines to sweep.  Empty (the default) runs the paper's
      * 16-core machine — exactly the legacy sweep, byte for byte; its
-     * cache rows keep their legacy keys.  Non-default machines key
+     * rows keep their legacy keys.  Non-default machines key
      * their rows with an extra "|mach=" segment, so they can never
      * collide with (or be satisfied by) a default-machine row.
      */
@@ -76,17 +79,8 @@ struct SweepSpec
      */
     std::vector<double> ambients;
 
-    /**
-     * Worker threads for the sweep: each (app, policy, retention) run
-     * simulates on its own thread with its own CmpSystem/EventQueue.
-     * 0 means $REFRINT_JOBS, or serial if that is unset.  Results are
-     * bit-identical to jobs=1 (same per-run PRNG seeds; collected in
-     * spec order regardless of completion order).
-     */
-    unsigned jobs = 0;
-
-    /** Fill any empty field with the paper defaults; read environment
-     *  overrides (REFRINT_REFS, REFRINT_APPS, REFRINT_JOBS). */
+    /** Fill any empty app/retention/policy axis with the paper
+     *  defaults. */
     void finalize();
 };
 
@@ -124,7 +118,7 @@ struct SweepResult
     std::vector<RunResult> raw;             ///< includes SRAM baselines
     std::vector<NormalizedResult> normalized;
 
-    /** Simulations actually executed (cache misses); a warm-cache
+    /** Simulations actually executed (store misses); a warm-store
      *  sweep reports 0. */
     std::size_t simulations = 0;
 
@@ -173,20 +167,6 @@ struct SweepResult
                                  const std::string &machine,
                                  double ambientC = 0.0) const;
 };
-
-/** Cache location: $REFRINT_CACHE or ./refrint_sweep_cache.csv. */
-std::string defaultCachePath();
-
-/**
- * Run (or load from cache) the sweep described by @p spec.  A thin
- * wrapper over the experiment API: the spec flattens into an
- * ExperimentPlan (api/experiment_plan.hh) and executes through a
- * Session (api/session.hh); output is byte-identical to the historic
- * Cartesian sweep loop.
- * @param cachePath  CSV cache location; empty disables caching.
- */
-SweepResult runSweep(SweepSpec spec,
-                     const std::string &cachePath = defaultCachePath());
 
 } // namespace refrint
 

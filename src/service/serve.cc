@@ -1,5 +1,6 @@
 #include "service/serve.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
@@ -24,7 +25,6 @@
 #include "api/experiment_plan.hh"
 #include "api/json.hh"
 #include "api/result_sink.hh"
-#include "api/run_cache.hh"
 #include "api/session.hh"
 #include "common/log.hh"
 #include "service/faults.hh"
@@ -89,13 +89,17 @@ openListener(const ServeOptions &opts)
     return fd;
 }
 
-/** SIGTERM latch for the graceful drain (async-signal-safe). */
-volatile sig_atomic_t gDrainRequested = 0;
+/** SIGTERM latch for the graceful drain.  Written by the signal
+ *  handler and read by the acceptor thread, so it must be atomic; a
+ *  lock-free atomic keeps the handler async-signal-safe. */
+std::atomic<int> gDrainRequested{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "the SIGTERM latch must be lock-free to be signal-safe");
 
 void
 onSigterm(int)
 {
-    gDrainRequested = 1;
+    gDrainRequested.store(1);
 }
 
 struct ServeCounters
@@ -271,10 +275,6 @@ handleConnection(int fd, Session &session, const ServeOptions &opts,
 int
 runServe(const ServeOptions &opts)
 {
-    if (!opts.storeDir.empty() && !opts.cachePath.empty()) {
-        warn("serve: --store and --cache are exclusive");
-        return 1;
-    }
     if (opts.socketPath.empty() && opts.port == 0) {
         warn("serve: need --socket PATH or --port N");
         return 1;
@@ -284,7 +284,7 @@ runServe(const ServeOptions &opts)
     ::signal(SIGPIPE, SIG_IGN);
 
     // SIGTERM = graceful drain (no SA_RESTART: poll/accept must wake).
-    gDrainRequested = 0;
+    gDrainRequested.store(0);
     struct sigaction sa{};
     sa.sa_handler = onSigterm;
     sigemptyset(&sa.sa_mask);
@@ -297,8 +297,6 @@ runServe(const ServeOptions &opts)
     std::unique_ptr<ResultStore> store;
     if (!opts.storeDir.empty())
         store = std::make_unique<ShardedStore>(opts.storeDir);
-    else
-        store = std::make_unique<RunCache>(opts.cachePath);
     Session session(std::move(store), opts.jobs);
 
     const std::size_t maxQueue = opts.maxQueue == 0 ? 1 : opts.maxQueue;
@@ -313,7 +311,7 @@ runServe(const ServeOptions &opts)
     // delivered to ANY thread is noticed within one poll interval.
     std::thread acceptor([&]() {
         for (;;) {
-            if (gDrainRequested != 0) {
+            if (gDrainRequested.load() != 0) {
                 std::lock_guard<std::mutex> lock(mu);
                 acceptorDown = true;
                 cv.notify_one();
@@ -381,7 +379,7 @@ runServe(const ServeOptions &opts)
             cv.wait(lock, [&]() {
                 return !pending.empty() || acceptorDown;
             });
-            draining = acceptorDown && gDrainRequested != 0;
+            draining = acceptorDown && gDrainRequested.load() != 0;
             if (pending.empty())
                 break; // listener gone and the queue is dry
             fd = pending.front();
@@ -417,7 +415,8 @@ runServe(const ServeOptions &opts)
     // store answers everything warm.
     inform("serve: %s after %zu request(s), %zu plan(s) "
            "(%zu warm, %zu cold, %zu shed, %zu idle-closed)",
-           gDrainRequested != 0 ? "drained (SIGTERM)" : "shut down",
+           gDrainRequested.load() != 0 ? "drained (SIGTERM)"
+                                       : "shut down",
            counters.requests, counters.plans, counters.warm,
            counters.cold, counters.shed, counters.idleClosed);
     return 0;

@@ -24,7 +24,8 @@
  *
  * Scenarios already in the store are answered warm (no simulation);
  * cold ones are scheduled on the session's worker pool.  One session
- * persists across requests, so a resubmitted plan is all-warm.
+ * persists across requests, so with a store a resubmitted plan is
+ * all-warm; without one every request simulates.
  * Connections are accepted concurrently but served in arrival order;
  * queueDepth reports how many connections were waiting when a request
  * was picked up.
@@ -67,7 +68,7 @@ struct ServeOptions
     std::string socketPath; ///< unix socket path ("" = use port)
     unsigned port = 0;      ///< TCP port on 127.0.0.1 (0 = use socket)
     std::string storeDir;   ///< sharded result store; "" = none
-    std::string cachePath;  ///< legacy cache (exclusive with storeDir)
+                            ///< (every request simulates)
     unsigned jobs = 0;      ///< worker threads (0 = $REFRINT_JOBS)
 
     std::size_t maxQueue = 16;    ///< pending-connection bound; a full
@@ -80,7 +81,7 @@ struct ServeOptions
 
 /** Run the service until a shutdown request or SIGTERM (graceful
  *  drain); 0 on clean shutdown, 1 on setup failure (bad listen
- *  address, conflicting stores). */
+ *  address). */
 int runServe(const ServeOptions &opts);
 
 struct SubmitOptions

@@ -13,9 +13,9 @@
  * Rows are addressed by their canonical ScenarioKey string; a key
  * lives in shard fnv64(key) % shards forever (the shard count is
  * fixed at creation and recorded in the manifest).  Each record's
- * payload is "key;row" with the row encoded by the same %.17g codec
- * the legacy cache uses (api/result_store.hh), so a migrated row is
- * byte-identical to a freshly simulated one.
+ * payload is "key;row" with the row encoded by the %.17g codec of
+ * api/result_store.hh — the codec legacy CSV caches used too, so a
+ * migrated row is byte-identical to a freshly simulated one.
  *
  * Concurrency model: any number of *processes* may append to the same
  * store concurrently — every insert is one O_APPEND write of one
@@ -23,8 +23,7 @@
  * reader ignores anything that fails the frame check (see
  * framing.hh).  Duplicate keys are benign: append-only means a re-
  * simulated row simply appears twice, and readers keep the last
- * occurrence.  Within a process the store is mutex-guarded like the
- * legacy cache.
+ * occurrence.  Within a process the store is mutex-guarded.
  *
  * Durability policy:
  *  - The manifest is fsync'd at creation — a store directory that
@@ -152,10 +151,13 @@ ScrubReport scrubStore(const std::string &dir, bool repair,
                        std::FILE *out = nullptr);
 
 /**
- * Import every row of a legacy single-file cache (api/run_cache.hh)
- * into @p store.  Returns the number of rows imported; fatal (exit 1)
- * when @p cachePath is missing or unreadable.  The legacy file is only
- * read, never modified.
+ * Import every row of a legacy single-file CSV cache into @p store.
+ * The file is a "vN" header line (v5 to v8) followed by one
+ * "key;row" line per run, the row in the encodeCacheRow codec; the
+ * last line of a repeated key wins.  Returns the number of rows
+ * imported; fatal (exit 1) when @p cachePath is missing or unreadable
+ * or its header names another version.  The legacy file is only read,
+ * never modified.
  */
 std::size_t migrateLegacyCache(const std::string &cachePath,
                                ShardedStore &store);

@@ -6,7 +6,6 @@
 
 #include "api/experiment_plan.hh"
 #include "api/result_sink.hh"
-#include "api/run_cache.hh"
 #include "api/session.hh"
 #include "common/env.hh"
 #include "common/log.hh"
@@ -92,11 +91,6 @@ runWorkerRange(const WorkerRangeOptions &opts)
                      opts.begin, opts.end, plan.size());
         return 1;
     }
-    if (!opts.storeDir.empty() && !opts.cachePath.empty()) {
-        std::fprintf(stderr,
-                     "worker: --store and --cache are exclusive\n");
-        return 1;
-    }
 
     // Out-of-range baselines needed by range scenarios, in index order.
     std::vector<std::size_t> externals;
@@ -139,8 +133,6 @@ runWorkerRange(const WorkerRangeOptions &opts)
     std::unique_ptr<ResultStore> store;
     if (!opts.storeDir.empty())
         store = std::make_unique<ShardedStore>(opts.storeDir);
-    else
-        store = std::make_unique<RunCache>(opts.cachePath);
 
     std::FILE *out = opts.out != nullptr ? opts.out : stdout;
     JsonLinesSink rows(out);

@@ -36,15 +36,14 @@ struct WorkerRangeOptions
     std::size_t begin = 0;   ///< first scenario index (inclusive)
     std::size_t end = 0;     ///< one past the last index
     std::string storeDir;    ///< sharded result store; "" = none
-    std::string cachePath;   ///< legacy cache; "" = none
     unsigned jobs = 1;       ///< threads within this worker
     std::FILE *out = nullptr; ///< JSONL row stream (default stdout)
 };
 
 /**
  * Run scenarios [begin, end) of the plan; 0 on success, 1 on a
- * runtime error.  Exactly one of storeDir/cachePath may be set;
- * neither set means no persistence (every scenario simulates).
+ * runtime error.  An empty storeDir means no persistence (every
+ * scenario simulates).
  *
  * Chaos hook: a $REFRINT_FAULTS schedule (service/faults.hh) may
  * crash, hang or slow this worker right before it emits a named

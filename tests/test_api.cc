@@ -12,6 +12,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "api/scenario.hh"
 #include "api/session.hh"
 #include "harness/report.hh"
+#include "service/store.hh"
 #include "workload/method.hh"
 #include "workload/micro.hh"
 
@@ -310,10 +313,6 @@ TEST(JsonTest, RejectsMalformedDocuments)
 
 TEST(ExperimentPlanTest, JsonRoundTripIsIdentity)
 {
-    // Plan builders finalize the spec, which reads env overrides; pin
-    // the test to its own parameters.
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     SweepSpec spec;
     spec.apps = {findWorkload("fft"), findWorkload("lu")};
     spec.sim.refsPerCore = 4000;
@@ -335,8 +334,6 @@ TEST(ExperimentPlanTest, JsonRoundTripIsIdentity)
 
 TEST(ExperimentPlanTest, FromSweepSpecReproducesLegacyOrder)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     SweepSpec spec;
     spec.apps = {findWorkload("fft")};
     spec.retentions = {usToTicks(50.0), usToTicks(100.0)};
@@ -366,6 +363,28 @@ TEST(ExperimentPlanTest, FromSweepSpecReproducesLegacyOrder)
         EXPECT_EQ(plan.baseline[static_cast<std::size_t>(i)], 5);
         EXPECT_EQ(plan.scenarios[static_cast<std::size_t>(i)].cores,
                   32u);
+    }
+}
+
+TEST(ExperimentPlanTest, EnvironmentNeverOverridesTheSpec)
+{
+    // Regression: the library once let $REFRINT_REFS and $REFRINT_APPS
+    // replace a spec's explicit refs and apps, so a developer's shell
+    // silently changed `sweep --app fft --refs 1000`.
+    setenv("REFRINT_REFS", "300", 1);
+    setenv("REFRINT_APPS", "lu", 1);
+    SweepSpec spec;
+    spec.apps = {findWorkload("fft")};
+    spec.sim.refsPerCore = 1000;
+    const ExperimentPlan plan =
+        ExperimentPlan::fromSweepSpec(std::move(spec));
+    unsetenv("REFRINT_REFS");
+    unsetenv("REFRINT_APPS");
+
+    ASSERT_EQ(plan.size(), 43u); // SRAM + 3 retentions x 14 policies
+    for (const Scenario &sc : plan.scenarios) {
+        EXPECT_EQ(sc.app, "fft");
+        EXPECT_EQ(sc.sim.refsPerCore, 1000u);
     }
 }
 
@@ -489,8 +508,6 @@ TEST(ExperimentPlanTest, MaxTicksIsOptionalButMustBePositive)
 
 TEST(ExperimentPlanTest, ThermalStudyBuilderMatchesCliShape)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     const ExperimentPlan plan = ExperimentPlan::thermalStudy(
         "fft", 50.0, {45.0, 65.0, 85.0});
     // 1 baseline + 3 ambients x 1 retention x 2 policies.
@@ -549,13 +566,11 @@ microPlan(const Workload &w)
 
 TEST(SessionTest, StreamsRowsInPlanOrderToEverySink)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
     const ExperimentPlan plan = microPlan(u);
 
     RecordingSink rec;
-    Session session(SessionOptions{"", 4});
+    Session session(nullptr, 4);
     const SweepResult res = session.run(plan, {&rec});
 
     EXPECT_EQ(rec.begins, 1);
@@ -573,15 +588,13 @@ TEST(SessionTest, StreamsRowsInPlanOrderToEverySink)
 
 TEST(SessionTest, JsonLinesSinkEmitsOneValidObjectPerRow)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
     const ExperimentPlan plan = microPlan(u);
 
     std::FILE *tmp = std::tmpfile();
     ASSERT_NE(tmp, nullptr);
     JsonLinesSink sink(tmp);
-    Session session(SessionOptions{"", 1});
+    Session session(nullptr, 1);
     session.run(plan, {&sink});
 
     std::rewind(tmp);
@@ -601,15 +614,13 @@ TEST(SessionTest, JsonLinesSinkEmitsOneValidObjectPerRow)
 
 TEST(SessionTest, CsvSinkQuotesCommaBearingConfigNames)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
     const ExperimentPlan plan = microPlan(u); // includes R.WB(32,32)
 
     std::FILE *tmp = std::tmpfile();
     ASSERT_NE(tmp, nullptr);
     CsvSink sink(tmp);
-    Session session(SessionOptions{"", 1});
+    Session session(nullptr, 1);
     session.run(plan, {&sink});
 
     std::rewind(tmp);
@@ -640,17 +651,15 @@ TEST(SessionTest, CsvSinkQuotesCommaBearingConfigNames)
 
 TEST(SessionTest, ModifiedEnergyModelNeverReusesDefaultRows)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
-    const std::string path = ::testing::TempDir() + "/api_energy.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/api_energy";
+    std::filesystem::remove_all(dir);
 
-    Session session(SessionOptions{path, 1});
+    Session session(std::make_unique<ShardedStore>(dir), 1);
     const SweepResult calibrated = session.run(microPlan(u));
     EXPECT_EQ(calibrated.simulations, 3u);
 
-    // Same scenarios, different energy model: the warm cache must NOT
+    // Same scenarios, different energy model: the warm store must NOT
     // satisfy them (the legacy engine silently reused such rows).
     ExperimentPlan tweaked = microPlan(u);
     tweaked.energy.eL3Access *= 100.0;
@@ -658,29 +667,27 @@ TEST(SessionTest, ModifiedEnergyModelNeverReusesDefaultRows)
     EXPECT_EQ(rerun.simulations, 3u);
     EXPECT_NE(rerun.raw[1].energy.l3, calibrated.raw[1].energy.l3);
 
-    // And the tweaked rows are themselves cached under their tag.
+    // And the tweaked rows are themselves stored under their tag.
     const SweepResult warm = session.run(tweaked);
     EXPECT_EQ(warm.simulations, 0u);
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SessionTest, SharesWarmCacheRowsAcrossRuns)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
-    const std::string path = ::testing::TempDir() + "/api_session.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/api_session";
+    std::filesystem::remove_all(dir);
 
-    Session session(SessionOptions{path, 2});
+    Session session(std::make_unique<ShardedStore>(dir), 2);
     const SweepResult first = session.run(microPlan(u));
     EXPECT_EQ(first.simulations, 3u);
-    // Same session, same plan: everything is already in the cache.
+    // Same session, same plan: everything is already in the store.
     const SweepResult again = session.run(microPlan(u));
     EXPECT_EQ(again.simulations, 0u);
     ASSERT_EQ(again.raw.size(), first.raw.size());
     EXPECT_EQ(again.raw[1].execTicks, first.raw[1].execTicks);
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------
@@ -703,11 +710,9 @@ specPlan(const char *spec, std::uint64_t refs = 1500)
 
 TEST(SessionTest, MethodWorkloadsRoundTripPlanJsonAndCache)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
-    const std::string path = ::testing::TempDir() + "/api_methods.csv";
-    std::remove(path.c_str());
-    Session session(SessionOptions{path, 2});
+    const std::string dir = ::testing::TempDir() + "/api_methods";
+    std::filesystem::remove_all(dir);
+    Session session(std::make_unique<ShardedStore>(dir), 2);
 
     for (const char *spec : {"agg:tables=part,groups=1024,in=65536",
                              "serve:rps=2e6,ws=4096,data=65536"}) {
@@ -722,31 +727,29 @@ TEST(SessionTest, MethodWorkloadsRoundTripPlanJsonAndCache)
 
         const SweepResult cold = session.run(plan);
         EXPECT_EQ(cold.simulations, 2u) << spec;
-        // The reloaded plan must hit the very same cache rows.
+        // The reloaded plan must hit the very same store rows.
         const SweepResult warm = session.run(reloaded);
         EXPECT_EQ(warm.simulations, 0u) << spec;
         ASSERT_EQ(warm.raw.size(), cold.raw.size());
         EXPECT_EQ(warm.raw[1].execTicks, cold.raw[1].execTicks);
-        // The latency block replays through the cache bit-exactly.
+        // The latency block replays through the store bit-exactly.
         EXPECT_EQ(warm.raw[1].requests, cold.raw[1].requests);
         EXPECT_EQ(warm.raw[1].reqP50Us, cold.raw[1].reqP50Us);
         EXPECT_EQ(warm.raw[1].reqP95Us, cold.raw[1].reqP95Us);
         EXPECT_EQ(warm.raw[1].reqP99Us, cold.raw[1].reqP99Us);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SessionTest, ServeRowsCarryLatencyPercentilesThroughJsonl)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     const ExperimentPlan plan =
         specPlan("serve:rps=2e6,ws=4096,data=65536", 3000);
 
     std::FILE *tmp = std::tmpfile();
     ASSERT_NE(tmp, nullptr);
     JsonLinesSink sink(tmp);
-    Session session(SessionOptions{"", 1});
+    Session session(nullptr, 1);
     const SweepResult res = session.run(plan, {&sink});
 
     // Every run of a request-serving workload completes requests and

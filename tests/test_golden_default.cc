@@ -11,24 +11,30 @@
  *  - thermal_study.txt        the thermal-study table (fft, 50 us,
  *                             ambients 45/65/85)
  *
- * Keys and formatted output must match byte for byte.  Numeric row
- * payloads are compared at 1e-9 relative tolerance: counts are exact
- * integers in double, and energies may legitimately differ in the last
- * ulp between build types (FP contraction), which %.17g would surface.
+ * The sweep's rows are read back from the sharded store it ran
+ * against.  Keys and formatted output must match byte for byte.
+ * Numeric row payloads are compared at 1e-9 relative tolerance: counts
+ * are exact integers in double, and energies may legitimately differ in
+ * the last ulp between build types (FP contraction), which %.17g would
+ * surface.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "api/result_store.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
+#include "service/store.hh"
+#include "test_util.hh"
 
 namespace refrint
 {
@@ -59,17 +65,27 @@ readFile(const std::string &path)
 SweepSpec
 goldenSpec()
 {
-    // The goldens encode fixed parameters; neutralize environment
-    // overrides a developer (or another CI step) may have exported.
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
-    unsetenv("REFRINT_JOBS");
     SweepSpec spec;
     spec.apps = {findWorkload("fft"), findWorkload("lu")};
     spec.sim.refsPerCore = 4000;
     spec.sim.seed = 1;
-    spec.jobs = 4; // results are bit-identical to jobs=1
     return spec;
+}
+
+/** Worker threads for the golden sweeps; results are bit-identical to
+ *  one worker. */
+constexpr unsigned kGoldenJobs = 4;
+
+/** Split a "v0,v1,..." row payload into its fields. */
+std::vector<double>
+parseFields(const std::string &payload)
+{
+    std::vector<double> vals;
+    std::stringstream vs(payload);
+    std::string tok;
+    while (std::getline(vs, tok, ','))
+        vals.push_back(std::strtod(tok.c_str(), nullptr));
+    return vals;
 }
 
 /** Parse "key;v0,v1,..." rows of a cache file (skips the header). */
@@ -83,12 +99,7 @@ parseCache(const std::string &text)
         const auto sep = line.find(';');
         if (sep == std::string::npos)
             continue; // version header
-        std::vector<double> vals;
-        std::stringstream vs(line.substr(sep + 1));
-        std::string tok;
-        while (std::getline(vs, tok, ','))
-            vals.push_back(std::strtod(tok.c_str(), nullptr));
-        rows[line.substr(0, sep)] = vals;
+        rows[line.substr(0, sep)] = parseFields(line.substr(sep + 1));
     }
     return rows;
 }
@@ -114,16 +125,19 @@ capture(Fn print)
 
 TEST(GoldenDefault, SweepRowSetIsByteIdenticalToPreRefactor)
 {
-    const std::string cachePath = "golden_test_cache.csv";
-    std::remove(cachePath.c_str());
+    const std::string storeDir =
+        ::testing::TempDir() + "/golden_test_store";
+    std::filesystem::remove_all(storeDir);
 
-    SweepSpec spec = goldenSpec();
-    const SweepResult s = runSweep(spec, cachePath);
+    const SweepResult s =
+        test::runSpec(goldenSpec(), storeDir, kGoldenJobs);
     EXPECT_EQ(s.raw.size(), 2u * 43u);
 
     const auto want =
         parseCache(readFile(goldenPath("sweep_cache_default.csv")));
-    const auto got = parseCache(readFile(cachePath));
+    std::map<std::string, std::vector<double>> got;
+    for (const auto &[key, row] : ShardedStore(storeDir).snapshot())
+        got[key] = parseFields(encodeCacheRow(row));
     ASSERT_FALSE(want.empty());
     ASSERT_EQ(got.size(), want.size());
 
@@ -149,7 +163,7 @@ TEST(GoldenDefault, SweepRowSetIsByteIdenticalToPreRefactor)
         capture([&](std::FILE *f) { printHeadline(s, f); });
     EXPECT_EQ(headline, readFile(goldenPath("sweep_headline.txt")));
 
-    std::remove(cachePath.c_str());
+    std::filesystem::remove_all(storeDir);
 }
 
 TEST(GoldenDefault, ThermalStudyOutputIsByteIdenticalToPreRefactor)
@@ -160,7 +174,7 @@ TEST(GoldenDefault, ThermalStudyOutputIsByteIdenticalToPreRefactor)
     spec.policies = {RefreshPolicy::periodic(DataPolicy::All),
                      RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
     spec.ambients = {45.0, 65.0, 85.0};
-    const SweepResult s = runSweep(spec, /*cachePath=*/"");
+    const SweepResult s = test::runSpec(spec, /*storeDir=*/"", kGoldenJobs);
 
     const std::string table = capture(
         [&](std::FILE *f) { printThermalStudy(s, "fft", 50.0, f); });

@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the experiment harness: the Table 5.4 sweep definition,
- * run-result normalization, the sweep result cache round-trip, and the
- * averaging used by the figure renderers.
+ * run-result normalization, the sweep's result-store round-trip, and
+ * the averaging used by the figure renderers.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "harness/report.hh"
 #include "harness/sweep.hh"
@@ -137,12 +138,11 @@ TEST(SweepCacheTest, CacheRoundTripsResults)
                      RefreshPolicy::periodic(DataPolicy::All)};
     spec.sim.refsPerCore = 1500;
 
-    const std::string path = ::testing::TempDir() + "/sweep_cache_rt.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/sweep_store_rt";
+    std::filesystem::remove_all(dir);
 
-    SweepSpec spec2 = spec; // runSweep consumes the spec
-    const SweepResult fresh = runSweep(std::move(spec), path);
-    const SweepResult cached = runSweep(std::move(spec2), path);
+    const SweepResult fresh = runSpec(spec, dir);
+    const SweepResult cached = runSpec(spec, dir);
 
     ASSERT_EQ(fresh.raw.size(), cached.raw.size());
     ASSERT_EQ(fresh.normalized.size(), cached.normalized.size());
@@ -151,21 +151,20 @@ TEST(SweepCacheTest, CacheRoundTripsResults)
         const auto &b = cached.normalized[i];
         EXPECT_EQ(a.app, b.app);
         EXPECT_EQ(a.config, b.config);
-        // The CSV cache stores ~7 significant digits.
         EXPECT_NEAR(a.time, b.time, 1e-5);
         EXPECT_NEAR(a.memEnergy, b.memEnergy, 1e-5);
         EXPECT_NEAR(a.sysEnergy, b.sysEnergy, 1e-5);
         EXPECT_NEAR(a.refresh, b.refresh, 1e-5);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SweepCacheTest, CacheKeyedByRefsPerCore)
 {
-    // Different simulation sizes must not alias in the cache.
+    // Different simulation sizes must not alias in the store.
     UniformWorkload app(8 * 1024, 0.3);
-    const std::string path = ::testing::TempDir() + "/sweep_cache_key.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/sweep_store_key";
+    std::filesystem::remove_all(dir);
 
     auto mkSpec = [&](std::uint64_t refs) {
         SweepSpec s;
@@ -176,11 +175,11 @@ TEST(SweepCacheTest, CacheKeyedByRefsPerCore)
         return s;
     };
 
-    const SweepResult small = runSweep(mkSpec(500), path);
-    const SweepResult large = runSweep(mkSpec(2000), path);
+    const SweepResult small = runSpec(mkSpec(500), dir);
+    const SweepResult large = runSpec(mkSpec(2000), dir);
 
     EXPECT_NE(small.raw[0].execTicks, large.raw[0].execTicks);
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SweepCacheTest, AverageFiltersByConfigRetentionAndApp)
@@ -194,7 +193,7 @@ TEST(SweepCacheTest, AverageFiltersByConfigRetentionAndApp)
     // shorter runs see no refresh at all and the retentions tie.
     spec.sim.refsPerCore = 60'000;
 
-    const SweepResult res = runSweep(std::move(spec), "");
+    const SweepResult res = runSpec(std::move(spec));
 
     const double at50 = res.average(50.0, "R.valid", {},
                                     &NormalizedResult::memEnergy);
@@ -237,7 +236,7 @@ TEST(ReportTest, FigurePrintersProduceOutput)
     spec.retentions = {usToTicks(50.0)};
     spec.policies = paperPolicySweep();
     spec.sim.refsPerCore = 1000;
-    const SweepResult res = runSweep(std::move(spec), "");
+    const SweepResult res = runSpec(std::move(spec));
 
     const std::string path = ::testing::TempDir() + "/report_out.txt";
     std::FILE *f = std::fopen(path.c_str(), "w");

@@ -290,8 +290,7 @@ TEST(MachineSmoke, ThirtyTwoCoreSweepRowsAreMachineKeyed)
     spec.policies = {RefreshPolicy::refrint(DataPolicy::Valid)};
     spec.machines = {MachineAxis{32, false}};
     spec.sim.refsPerCore = 400;
-    spec.jobs = 1;
-    const SweepResult s = runSweep(spec, /*cachePath=*/"");
+    const SweepResult s = test::runSpec(spec, /*storeDir=*/"", 1);
     ASSERT_EQ(s.raw.size(), 2u);
     EXPECT_EQ(s.raw[0].config, "SRAM");
     EXPECT_EQ(s.raw[0].machine, "c32");

@@ -31,7 +31,6 @@
 #include <gtest/gtest.h>
 
 #include "api/experiment_plan.hh"
-#include "api/run_cache.hh"
 #include "api/session.hh"
 #include "service/coordinator.hh"
 #include "service/faults.hh"
@@ -338,11 +337,15 @@ TEST(ShardedStoreTest, MigratesLegacyCacheRowsExactly)
     TempDir dir;
     const std::string cachePath = dir.file("legacy.csv");
     {
-        RunCache legacy(cachePath);
+        // A legacy CSV cache: version header, then "key;row" lines.
+        // A repeated key keeps its last row.
+        std::ofstream legacy(cachePath);
+        legacy << "v8\n"
+               << "legacy-7;" << encodeCacheRow(makeRow(99.0)) << "\n";
         for (int i = 0; i < 25; ++i)
-            legacy.insert("legacy-" + std::to_string(i),
-                          makeRow(static_cast<double>(i)));
-        legacy.flush();
+            legacy << "legacy-" << i << ";"
+                   << encodeCacheRow(makeRow(static_cast<double>(i)))
+                   << "\n";
     }
     ShardedStore store(dir.file("store"));
     EXPECT_EQ(migrateLegacyCache(cachePath, store), 25u);
@@ -360,32 +363,20 @@ TEST(ShardedStoreTest, MigratesLegacyCacheRowsExactly)
                 ::testing::ExitedWithCode(1), "cannot read legacy");
 }
 
-// ---------------------------------------------------------------------
-// Legacy cache: amortized flush
-// ---------------------------------------------------------------------
-
-TEST(RunCacheTest, FlushCountGrowsLogarithmicallyNotLinearly)
+TEST(ShardedStoreTest, MigrateRejectsACacheOfAnotherVersion)
 {
     TempDir dir;
-    const std::string path = dir.file("cache.csv");
-    const int n = 2000;
-    {
-        RunCache cache(path);
-        for (int i = 0; i < n; ++i)
-            cache.insert("k" + std::to_string(i),
-                         makeRow(static_cast<double>(i)));
-        // Fixed-interval flushing would rewrite the file n/16 = 125
-        // times (O(n^2) bytes); the dirty-count threshold keeps it
-        // logarithmic in n.
-        EXPECT_LE(cache.rewrites(), 40u);
-        EXPECT_GE(cache.rewrites(), 5u);
-        cache.flush();
+    ShardedStore store(dir.file("store"));
+    // A header outside v5-v8 is fatal, not a silent 0-row import.
+    for (const char *header : {"v4", "v9", ""}) {
+        const std::string cachePath = dir.file("other.csv");
+        std::ofstream(cachePath)
+            << header << "\nk;" << encodeCacheRow(makeRow(1.0)) << "\n";
+        EXPECT_EXIT(migrateLegacyCache(cachePath, store),
+                    ::testing::ExitedWithCode(1), "only v5-v8")
+            << header;
     }
-    RunCache reloaded(path);
-    EXPECT_EQ(reloaded.rowCount(), static_cast<std::size_t>(n));
-    CacheRow c{};
-    ASSERT_TRUE(reloaded.lookup("k1234", c));
-    EXPECT_TRUE(sameRow(c, makeRow(1234.0)));
+    EXPECT_EQ(store.rowCount(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -779,7 +770,7 @@ TEST(ScrubTest, RandomSingleByteCorruptionIsAlwaysDetectedAndRepaired)
 
 TEST(SessionDeadlineTest, SkipsUnstartedScenariosPastTheDeadline)
 {
-    Session session(SessionOptions{"", 1});
+    Session session(nullptr, 1);
     const ExperimentPlan plan = smallPlan();
     const SweepResult r = session.run(plan, {}, 1e-6);
     EXPECT_GT(r.metrics.skipped, 0u);
@@ -787,7 +778,7 @@ TEST(SessionDeadlineTest, SkipsUnstartedScenariosPastTheDeadline)
     EXPECT_EQ(r.metrics.scenarios, plan.size());
 
     // No deadline: nothing is ever skipped.
-    Session fresh(SessionOptions{"", 1});
+    Session fresh(nullptr, 1);
     const SweepResult full = fresh.run(plan);
     EXPECT_EQ(full.metrics.skipped, 0u);
     EXPECT_EQ(full.raw.size(), plan.size());

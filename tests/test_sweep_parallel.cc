@@ -2,20 +2,21 @@
  * @file
  * Tests for the parallel sweep engine: a multi-threaded sweep must be
  * bit-identical to the serial one (same per-run PRNG seeds, results
- * collected in spec order), the v4 cache must round-trip every field
- * exactly (%.17g), and a warm cache must satisfy a repeat sweep with
- * zero simulations.
+ * collected in spec order), the result store must round-trip every
+ * field exactly (%.17g), and a warm store must satisfy a repeat sweep
+ * with zero simulations.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "harness/pool.hh"
 #include "harness/sweep.hh"
+#include "test_util.hh"
 #include "workload/micro.hh"
 
 namespace refrint::test
@@ -71,13 +72,8 @@ TEST(SweepParallelTest, FourJobsBitIdenticalToSerial)
     UniformWorkload u(8 * 1024, 0.3);
     StreamWorkload s(32 * 1024, 0.2);
 
-    SweepSpec serial = smallSpec(u, s);
-    serial.jobs = 1;
-    SweepSpec parallel = smallSpec(u, s);
-    parallel.jobs = 4;
-
-    const SweepResult a = runSweep(std::move(serial), "");
-    const SweepResult b = runSweep(std::move(parallel), "");
+    const SweepResult a = runSpec(smallSpec(u, s), "", 1);
+    const SweepResult b = runSpec(smallSpec(u, s), "", 4);
 
     ASSERT_EQ(a.raw.size(), 14u);
     ASSERT_EQ(a.raw.size(), b.raw.size());
@@ -102,43 +98,35 @@ TEST(SweepParallelTest, CacheRoundTripsEveryFieldExactly)
 {
     UniformWorkload u(8 * 1024, 0.3);
     StreamWorkload s(32 * 1024, 0.2);
-    const std::string path =
-        ::testing::TempDir() + "/sweep_parallel_rt.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/sweep_parallel_rt";
+    std::filesystem::remove_all(dir);
 
-    SweepSpec first = smallSpec(u, s);
-    SweepSpec second = smallSpec(u, s);
-    const SweepResult fresh = runSweep(std::move(first), path);
-    const SweepResult cached = runSweep(std::move(second), path);
+    const SweepResult fresh = runSpec(smallSpec(u, s), dir);
+    const SweepResult cached = runSpec(smallSpec(u, s), dir);
 
     ASSERT_EQ(fresh.raw.size(), cached.raw.size());
     for (std::size_t i = 0; i < fresh.raw.size(); ++i) {
         SCOPED_TRACE(fresh.raw[i].app + "/" + fresh.raw[i].config);
         expectRunsIdentical(fresh.raw[i], cached.raw[i]);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SweepParallelTest, WarmCacheRunsZeroSimulations)
 {
     UniformWorkload u(8 * 1024, 0.3);
     StreamWorkload s(32 * 1024, 0.2);
-    const std::string path =
-        ::testing::TempDir() + "/sweep_parallel_warm.csv";
-    std::remove(path.c_str());
+    const std::string dir =
+        ::testing::TempDir() + "/sweep_parallel_warm";
+    std::filesystem::remove_all(dir);
 
-    SweepSpec first = smallSpec(u, s);
-    first.jobs = 4;
-    SweepSpec second = smallSpec(u, s);
-    second.jobs = 4;
-
-    const SweepResult fresh = runSweep(std::move(first), path);
+    const SweepResult fresh = runSpec(smallSpec(u, s), dir, 4);
     EXPECT_EQ(fresh.simulations, fresh.raw.size());
 
-    const SweepResult warm = runSweep(std::move(second), path);
+    const SweepResult warm = runSpec(smallSpec(u, s), dir, 4);
     EXPECT_EQ(warm.simulations, 0u);
     ASSERT_EQ(warm.raw.size(), fresh.raw.size());
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(PoolTest, ParallelForCoversEveryIndexOnce)

@@ -4,14 +4,15 @@
  * response curve, end-to-end retention safety under activity-driven
  * temperature swings (the decayed counter must stay 0 across retention
  * rescales), the headline thermal result (Periodic-All pays for heat,
- * Refrint WB(32,32) strictly less), and determinism/caching of the
- * ambient sweep axis.
+ * Refrint WB(32,32) strictly less), and determinism and the store
+ * round-trip of the ambient sweep axis.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "harness/sweep.hh"
@@ -226,8 +227,28 @@ TEST(ThermalRun, SramMachineRejectsThermal)
     EXPECT_DEATH(Hierarchy(cfg, eq), "thermal model requires an eDRAM");
 }
 
+/** Regression: a warming retention rescale re-keyed a sentry group to
+ *  a tick already past, and this exact paper-machine run aborted with
+ *  "event scheduled in the past".  It must complete with no decayed
+ *  hits. */
+TEST(ThermalRun, RescaleNeverRearmsASentryGroupInThePast)
+{
+    MachineConfig cfg = MachineConfig::paperEdram(
+        RefreshPolicy::refrint(DataPolicy::WB, 32, 32), usToTicks(50.0));
+    cfg.thermal.enabled = true;
+    cfg.thermal.ambientC = 85.0;
+    SimParams sim;
+    sim.refsPerCore = 20'000;
+    sim.seed = 520236434;
+    const Workload *radix = findWorkload("radix");
+    ASSERT_NE(radix, nullptr);
+    const RunResult r = runOnce(cfg, *radix, sim);
+    EXPECT_EQ(r.counts.decayedHits, 0u);
+    EXPECT_GT(r.maxTempC, 85.0);
+}
+
 // ---------------------------------------------------------------------
-// The ambient sweep axis: determinism, caching, key isolation
+// The ambient sweep axis: determinism, store round-trip, key isolation
 // ---------------------------------------------------------------------
 
 SweepSpec
@@ -248,13 +269,8 @@ TEST(ThermalSweep, ParallelBitIdenticalToSerial)
     UniformWorkload u(8 * 1024, 0.3);
     StreamWorkload s(32 * 1024, 0.2);
 
-    SweepSpec serial = thermalSpec(u, s);
-    serial.jobs = 1;
-    SweepSpec parallel = thermalSpec(u, s);
-    parallel.jobs = 4;
-
-    const SweepResult a = runSweep(std::move(serial), "");
-    const SweepResult b = runSweep(std::move(parallel), "");
+    const SweepResult a = runSpec(thermalSpec(u, s), "", 1);
+    const SweepResult b = runSpec(thermalSpec(u, s), "", 4);
 
     // 2 apps x (1 SRAM + 2 ambients x 1 retention x 2 policies)
     ASSERT_EQ(a.raw.size(), 10u);
@@ -274,14 +290,12 @@ TEST(ThermalSweep, CacheRoundTripsThermalFieldsExactly)
 {
     UniformWorkload u(8 * 1024, 0.3);
     StreamWorkload s(32 * 1024, 0.2);
-    const std::string path = ::testing::TempDir() + "/thermal_rt.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/thermal_rt";
+    std::filesystem::remove_all(dir);
 
-    SweepSpec first = thermalSpec(u, s);
-    SweepSpec second = thermalSpec(u, s);
-    const SweepResult fresh = runSweep(std::move(first), path);
+    const SweepResult fresh = runSpec(thermalSpec(u, s), dir);
     EXPECT_EQ(fresh.simulations, fresh.raw.size());
-    const SweepResult warm = runSweep(std::move(second), path);
+    const SweepResult warm = runSpec(thermalSpec(u, s), dir);
     EXPECT_EQ(warm.simulations, 0u);
 
     ASSERT_EQ(fresh.raw.size(), warm.raw.size());
@@ -293,40 +307,40 @@ TEST(ThermalSweep, CacheRoundTripsThermalFieldsExactly)
         EXPECT_EQ(fresh.raw[i].energy.refresh,
                   warm.raw[i].energy.refresh);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 /** Thermal rows must never collide with (or satisfy) isothermal rows
- *  in the shared cache: after both sweeps ran, each repeat is warm. */
+ *  in the shared store: after both sweeps ran, each repeat is warm. */
 TEST(ThermalSweep, KeysDoNotCollideWithIsothermalRows)
 {
     UniformWorkload u(8 * 1024, 0.3);
     StreamWorkload s(32 * 1024, 0.2);
-    const std::string path = ::testing::TempDir() + "/thermal_keys.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/thermal_keys";
+    std::filesystem::remove_all(dir);
 
     SweepSpec iso = thermalSpec(u, s);
     iso.ambients.clear(); // same points, thermal disabled
-    const SweepResult isoFresh = runSweep(SweepSpec(iso), path);
+    const SweepResult isoFresh = runSpec(iso, dir);
     EXPECT_EQ(isoFresh.simulations, isoFresh.raw.size());
 
     // The thermal sweep shares only the 2 SRAM baselines (which are
     // never thermal); its 8 eDRAM points must all simulate fresh.
     SweepSpec thermal = thermalSpec(u, s);
-    const SweepResult thFresh = runSweep(SweepSpec(thermal), path);
+    const SweepResult thFresh = runSpec(thermal, dir);
     EXPECT_EQ(thFresh.simulations, 8u);
 
     // Both repeats fully warm, and the isothermal rows were untouched
-    // by the thermal sweep (distinct keys, same file).
-    const SweepResult isoWarm = runSweep(SweepSpec(iso), path);
+    // by the thermal sweep (distinct keys, same store).
+    const SweepResult isoWarm = runSpec(iso, dir);
     EXPECT_EQ(isoWarm.simulations, 0u);
-    const SweepResult thWarm = runSweep(SweepSpec(thermal), path);
+    const SweepResult thWarm = runSpec(thermal, dir);
     EXPECT_EQ(thWarm.simulations, 0u);
     for (std::size_t i = 0; i < isoFresh.raw.size(); ++i) {
         EXPECT_EQ(isoFresh.raw[i].execTicks, isoWarm.raw[i].execTicks);
         EXPECT_EQ(isoFresh.raw[i].maxTempC, isoWarm.raw[i].maxTempC);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

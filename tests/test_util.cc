@@ -1,5 +1,12 @@
 #include "test_util.hh"
 
+#include <memory>
+#include <utility>
+
+#include "api/experiment_plan.hh"
+#include "api/session.hh"
+#include "service/store.hh"
+
 namespace refrint::test
 {
 
@@ -38,6 +45,16 @@ runTiny(const MachineConfig &cfg, const Workload &app,
     sim.refsPerCore = refs;
     sim.seed = seed;
     return runOnce(cfg, app, sim);
+}
+
+SweepResult
+runSpec(SweepSpec spec, const std::string &storeDir, unsigned jobs)
+{
+    std::unique_ptr<ResultStore> store;
+    if (!storeDir.empty())
+        store = std::make_unique<ShardedStore>(storeDir);
+    Session session(std::move(store), jobs);
+    return session.run(ExperimentPlan::fromSweepSpec(std::move(spec)));
 }
 
 } // namespace refrint::test

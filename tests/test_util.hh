@@ -8,8 +8,11 @@
 #ifndef REFRINT_TESTS_TEST_UTIL_HH
 #define REFRINT_TESTS_TEST_UTIL_HH
 
+#include <string>
+
 #include "coherence/hierarchy.hh"
 #include "harness/runner.hh"
+#include "harness/sweep.hh"
 #include "system/cmp_system.hh"
 #include "workload/micro.hh"
 
@@ -32,6 +35,15 @@ MachineConfig tinyEdram(const RefreshPolicy &policy,
 /** Run @p app on @p cfg for @p refs refs/core; returns the result. */
 RunResult runTiny(const MachineConfig &cfg, const Workload &app,
                   std::uint64_t refs, std::uint64_t seed = 7);
+
+/**
+ * Flatten @p spec into its plan and run it through a Session on
+ * @p jobs workers (0 = $REFRINT_JOBS, or serial), persisting rows in
+ * the sharded store at @p storeDir ("" = no store: every scenario
+ * simulates).
+ */
+SweepResult runSpec(SweepSpec spec, const std::string &storeDir = "",
+                    unsigned jobs = 0);
 
 } // namespace refrint::test
 

@@ -8,7 +8,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -16,12 +18,12 @@
 
 #include "api/experiment_plan.hh"
 #include "api/result_store.hh"
-#include "api/run_cache.hh"
 #include "api/scenario.hh"
 #include "api/session.hh"
 #include "edram/refresh_policy.hh"
 #include "edram/retention.hh"
 #include "harness/runner.hh"
+#include "service/store.hh"
 #include "test_util.hh"
 #include "validate/analytic_model.hh"
 #include "validate/energy_alt.hh"
@@ -339,21 +341,18 @@ validationPlan(const Workload &w)
 
 TEST(ValidateTest, PassesACorpusTheSimulatorProduced)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
-    const std::string path =
-        ::testing::TempDir() + "/validate_clean.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/validate_clean";
+    std::filesystem::remove_all(dir);
     {
-        Session session(SessionOptions{path, 2});
+        Session session(std::make_unique<ShardedStore>(dir), 2);
         session.run(validationPlan(u));
     }
 
     std::FILE *sink = std::tmpfile();
     ASSERT_NE(sink, nullptr);
     ValidateOptions opts;
-    opts.cachePath = path;
+    opts.storeDir = dir;
     opts.out = sink;
     ValidateReport rep;
     EXPECT_EQ(runValidate(opts, &rep), 0);
@@ -368,29 +367,29 @@ TEST(ValidateTest, PassesACorpusTheSimulatorProduced)
     EXPECT_EQ(rep.analyticChecked, 0u);
     EXPECT_FALSE(rep.limits.empty());
     std::fclose(sink);
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ValidateTest, FlagsACorruptedRowAndWritesTheJsonReport)
 {
-    const std::string path = ::testing::TempDir() + "/validate_bad.csv";
+    const std::string dir = ::testing::TempDir() + "/validate_bad";
     const std::string json =
         ::testing::TempDir() + "/validate_bad.json";
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
     {
-        RunCache cache(path);
+        ShardedStore store(dir);
         CacheRow bad = sampleRow();
         bad.requests = 0;
         bad.reqP50Us = bad.reqP95Us = bad.reqP99Us = 0;
         bad.l1 = -1e-7; // negative energy: impossible
-        cache.insert("micro.uniform|P.all|50.0|100|1", bad);
-        cache.flush();
+        store.insert("micro.uniform|P.all|50.0|100|1", bad);
+        store.flush();
     }
 
     std::FILE *sink = std::tmpfile();
     ASSERT_NE(sink, nullptr);
     ValidateOptions opts;
-    opts.cachePath = path;
+    opts.storeDir = dir;
     opts.jsonOut = json;
     opts.out = sink;
     ValidateReport rep;
@@ -406,7 +405,7 @@ TEST(ValidateTest, FlagsACorruptedRowAndWritesTheJsonReport)
     EXPECT_NE(ss.str().find("\"clean\": false"), std::string::npos);
     EXPECT_NE(ss.str().find("field-sane"), std::string::npos);
     std::fclose(sink);
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
     std::remove(json.c_str());
 }
 
@@ -416,10 +415,6 @@ TEST(ValidateTest, DiesCleanlyOnAMissingCorpus)
     store.storeDir = ::testing::TempDir() + "/no_such_store_dir";
     EXPECT_EXIT(runValidate(store), ::testing::ExitedWithCode(1),
                 "no result store");
-    ValidateOptions cache;
-    cache.cachePath = ::testing::TempDir() + "/no_such_cache.csv";
-    EXPECT_EXIT(runValidate(cache), ::testing::ExitedWithCode(1),
-                "no result cache");
 }
 
 // ---------------------------------------------------------------------

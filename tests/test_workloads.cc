@@ -18,6 +18,22 @@
 #include "workload/micro.hh"
 #include "workload/synthetic.hh"
 
+namespace refrint
+{
+
+/**
+ * Print a workload parameter by name.  gtest's default printer shows a
+ * pointer's address, which ASLR changes on every run, and ctest would
+ * carry it into the discovered test names.
+ */
+void
+PrintTo(const Workload *w, std::ostream *os)
+{
+    *os << w->name();
+}
+
+} // namespace refrint
+
 namespace refrint::test
 {
 

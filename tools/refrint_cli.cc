@@ -67,8 +67,7 @@ struct Args
     double decayUs = 0.0;
     double ambientC = 0.0; ///< 0 = thermal subsystem off
     std::string ambients = "45,65,85"; ///< thermal-study axis
-    std::string cache; ///< result cache; empty = $REFRINT_CACHE/default
-    std::string store; ///< sharded result store dir (replaces --cache)
+    std::string store; ///< sharded result store dir; "" = persist nothing
     std::string plan;  ///< JSON plan file replacing the built-in grid
     std::string jsonl; ///< JSON Lines result sink ("-" = stdout)
     std::string csv;   ///< CSV result sink ("-" = stdout)
@@ -100,22 +99,24 @@ struct Command
     const char *summary; ///< one line for the command index
     const char *usage;   ///< synopsis + options for `help <cmd>`
     int (*run)(const Args &);
-    bool runsPlans = false; ///< accepts the shared sink/cache flags
+    bool runsPlans = false; ///< accepts the shared sink/store flags
     bool usesPlan = false;  ///< accepts --plan without the sink flags
                             ///< (worker, submit)
+    bool opensStore = false; ///< accepts --store/--sync without the
+                             ///< sink flags (worker, serve, cache,
+                             ///< validate)
 };
 
 /** Flags shared by every plan-running command. */
 const char kCommonSinkHelp[] =
-    "\nshared sink/cache options:\n"
+    "\nshared sink/store options:\n"
     "  --jsonl FILE     stream one JSON object per run; \"-\" streams\n"
     "                   to stdout and replaces the default report\n"
     "  --csv FILE       stream one CSV row per run (\"-\" as above)\n"
     "  --progress       per-run progress ticker on stderr\n"
-    "  --cache PATH     result cache (default $REFRINT_CACHE or\n"
-    "                   ./refrint_sweep_cache.csv)\n"
-    "  --store DIR      sharded result store directory (crash- and\n"
-    "                   multi-process-safe; replaces --cache)\n"
+    "  --store DIR      persist results in this sharded store (crash-\n"
+    "                   and multi-process-safe; a rerun is warm);\n"
+    "                   without it nothing is persisted\n"
     "  --sync           fdatasync every store append (power-loss\n"
     "                   durability per row; needs --store)\n"
     "  --jobs N         worker threads (default $REFRINT_JOBS or 1)\n";
@@ -205,8 +206,9 @@ parseArgs(int argc, char **argv, int first)
             k == "--seed" || k == "--cores" || k == "--hybrid" ||
             k == "--ambients")
             a.gridFlags.push_back(k);
-        // The plan/sink flags only mean something to commands that run
-        // plans; anywhere else they would be silently ignored.
+        // The plan, sink and store flags mean something only to the
+        // commands that use them; anywhere else they would be silently
+        // ignored.
         if (k == "--plan" && (gActive == nullptr ||
                               !(gActive->runsPlans || gActive->usesPlan)))
             usageError("%s applies only to the commands that run or "
@@ -217,6 +219,13 @@ parseArgs(int argc, char **argv, int first)
             (gActive == nullptr || !gActive->runsPlans))
             usageError("%s applies only to the plan-running commands "
                        "(sweep, figures, thermal-study)",
+                       k.c_str());
+        if ((k == "--store" || k == "--sync") &&
+            (gActive == nullptr ||
+             !(gActive->runsPlans || gActive->opensStore)))
+            usageError("%s applies only to the commands that open a "
+                       "result store (sweep, figures, thermal-study, "
+                       "worker, serve, cache, validate)",
                        k.c_str());
         if (k == "--app") {
             a.app = val();
@@ -272,8 +281,6 @@ parseArgs(int argc, char **argv, int first)
         }
         else if (k == "--ambients")
             a.ambients = val();
-        else if (k == "--cache")
-            a.cache = val();
         else if (k == "--store")
             a.store = val();
         else if (k == "--workers") {
@@ -373,30 +380,17 @@ parseAmbients(const std::string &list)
     return out;
 }
 
-/** Resolve the sweep cache path: --cache beats $REFRINT_CACHE. */
-std::string
-cachePathFor(const Args &a)
-{
-    return a.cache.empty() ? defaultCachePath() : a.cache;
-}
-
-/** Build the session behind a plan-running command: a sharded store
- *  when --store is given, the legacy single-file cache otherwise. */
+/** Build the session behind a plan-running command: results persist
+ *  only when --store names a sharded store directory. */
 std::unique_ptr<Session>
 sessionFor(const Args &a)
 {
-    if (!a.store.empty() && !a.cache.empty())
-        usageError("--store and --cache are exclusive (one result "
-                   "location per run)");
+    if (a.sync && a.store.empty())
+        usageError("--sync needs --store DIR");
+    std::unique_ptr<ResultStore> store;
     if (!a.store.empty())
-        return std::make_unique<Session>(
-            std::make_unique<ShardedStore>(a.store, 0, a.sync),
-            a.jobs);
-    if (a.sync)
-        usageError("--sync needs --store DIR (the legacy cache has no "
-                   "durable append mode)");
-    return std::make_unique<Session>(
-        SessionOptions{cachePathFor(a), a.jobs});
+        store = std::make_unique<ShardedStore>(a.store, 0, a.sync);
+    return std::make_unique<Session>(std::move(store), a.jobs);
 }
 
 // ---------------------------------------------------------------------
@@ -494,8 +488,7 @@ sweepPlanFor(const Args &a, bool announceMachine)
     SweepSpec spec;
     spec.sim.refsPerCore = a.refs;
     // --app SPEC (repeatable) replaces the paper-app axis; specs can
-    // carry method parameters ("agg:tables=part,..."), which the
-    // comma-splitting REFRINT_APPS env list cannot.
+    // carry method parameters ("agg:tables=part,...").
     for (const std::string &s : a.apps) {
         ResolvedWorkload rw;
         std::string err;
@@ -656,16 +649,13 @@ cmdRun(const Args &a)
 /** sweep --workers N: shard the plan across worker subprocesses and
  *  merge their row streams (service/coordinator.hh). */
 int
-runSweepCoordinated(const Args &a)
+sweepWithWorkers(const Args &a)
 {
     if (a.jsonl.empty())
         usageError("sweep --workers streams merged rows only; add "
                    "--jsonl FILE (or --jsonl -)");
     if (!a.csv.empty() || a.progress)
         usageError("sweep --workers supports only the --jsonl sink");
-    if (!a.cache.empty())
-        usageError("workers share a --store directory; the legacy "
-                   "--cache file is single-process");
 
     char exe[4096];
     const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
@@ -720,7 +710,7 @@ cmdSweepOrFigures(const Args &a, bool figures)
         if (figures)
             usageError("--workers applies to sweep; figures renders "
                        "its report in one process");
-        return runSweepCoordinated(a);
+        return sweepWithWorkers(a);
     }
     const bool quiet = stdoutIsMachineReadable(a);
     ExperimentPlan plan =
@@ -806,8 +796,8 @@ cmdBinning(const Args &a)
     rejectPositionals(a);
     BinningSink sink;
     std::vector<ResultSink *> sinks{&sink};
-    // The binning plan simulates nothing; keep the run cache untouched.
-    Session session(SessionOptions{"", 0});
+    // The binning plan simulates nothing; it needs no result store.
+    Session session(nullptr, 0);
     session.run(ExperimentPlan::binning(), sinks);
     return 0;
 }
@@ -860,17 +850,12 @@ cmdWorker(const Args &a)
         begin >= end)
         usageError("worker needs --range A:B with A < B (scenario "
                    "indices into the plan)");
-    if (!a.store.empty() && !a.cache.empty())
-        usageError("--store and --cache are exclusive");
 
     WorkerRangeOptions opts;
     opts.planPath = a.plan;
     opts.begin = static_cast<std::size_t>(begin);
     opts.end = static_cast<std::size_t>(end);
     opts.storeDir = a.store;
-    opts.cachePath = a.cache; // deliberately NOT the $REFRINT_CACHE
-                              // default: an unasked-for shared file
-                              // would break coordinator byte-identity
     opts.jobs = a.jobs == 0 ? 1 : a.jobs;
     return runWorkerRange(opts);
 }
@@ -882,13 +867,10 @@ cmdServe(const Args &a)
     if (a.socket.empty() == (a.port == 0))
         usageError("serve needs exactly one of --socket PATH or "
                    "--port N");
-    if (!a.store.empty() && !a.cache.empty())
-        usageError("--store and --cache are exclusive");
     ServeOptions opts;
     opts.socketPath = a.socket;
     opts.port = a.port;
     opts.storeDir = a.store;
-    opts.cachePath = a.cache;
     opts.jobs = a.jobs;
     opts.maxQueue = a.maxQueue;
     opts.requestTimeoutSec = a.requestTimeout;
@@ -942,8 +924,6 @@ cmdCache(const Args &a)
                    action == "migrate" ? "import into" : "verify");
 
     if (action == "scrub") {
-        if (a.repair && !a.cache.empty())
-            usageError("scrub repairs in place; drop --cache");
         const ScrubReport rep = scrubStore(a.store, a.repair, stdout);
         std::printf("scrub: %u shard(s), %zu committed row(s), "
                     "%zu unique key(s); %zu torn tail(s), %zu mid-file "
@@ -961,12 +941,14 @@ cmdCache(const Args &a)
         return rep.clean() || a.repair ? 0 : 1;
     }
 
-    const std::string cachePath = cachePathFor(a);
+    if (a.in.empty())
+        usageError("cache migrate needs --in FILE (the legacy CSV cache "
+                   "to import)");
     ShardedStore store(a.store);
-    const std::size_t n = migrateLegacyCache(cachePath, store);
+    const std::size_t n = migrateLegacyCache(a.in, store);
     std::printf("migrated %zu row(s) from %s into %s (%u shards, "
                 "%zu rows total)\n",
-                n, cachePath.c_str(), a.store.c_str(), store.shards(),
+                n, a.in.c_str(), a.store.c_str(), store.shards(),
                 store.rowCount());
     return 0;
 }
@@ -975,14 +957,9 @@ int
 cmdValidate(const Args &a)
 {
     rejectPositionals(a);
-    // No $REFRINT_CACHE default here: validation targets one corpus
-    // the caller names explicitly, so a forgotten flag is a usage
-    // error rather than a silent scan of an unrelated file.
-    if (a.store.empty() == a.cache.empty())
-        usageError("validate needs exactly one of --store DIR or "
-                   "--cache PATH (the corpus to check)");
+    if (a.store.empty())
+        usageError("validate needs --store DIR (the corpus to check)");
     ValidateOptions opts;
-    opts.cachePath = a.cache;
     opts.storeDir = a.store;
     opts.jsonOut = a.out;
     opts.verbose = a.verbose;
@@ -1129,8 +1106,9 @@ const Command kCommands[] = {
      "usage: refrint_cli plan dump [sweep|figures|thermal-study|"
      "binning] [options]\n"
      "  --out FILE       write the plan file (default stdout)\n"
-     "  (grid options --refs/--cores/--hybrid, and for thermal-study\n"
-     "   --app/--retention/--ambients/--seed, shape the dumped plan)\n"
+     "  (grid options --app/--refs/--cores/--hybrid, and for\n"
+     "   thermal-study --retention/--ambients/--seed, shape the\n"
+     "   dumped plan)\n"
      "\nA dumped plan replays with 'sweep --plan FILE' and produces\n"
      "rows byte-identical to the grid it was dumped from.\n",
      cmdPlan},
@@ -1141,18 +1119,19 @@ const Command kCommands[] = {
      "                   exclusive; rows stream to stdout as JSON\n"
      "                   Lines with their global plan identity\n"
      "  --store DIR      sharded result store shared by all workers\n"
-     "  --cache PATH     legacy cache (single worker only)\n"
+     "                   (default: none; every scenario simulates)\n"
      "  --jobs N         threads inside this worker (default 1)\n"
      "\nNormally spawned by 'sweep --workers N'; runnable by hand for\n"
      "debugging a shard.\n",
-     cmdWorker, /*runsPlans=*/false, /*usesPlan=*/true},
+     cmdWorker, /*runsPlans=*/false, /*usesPlan=*/true,
+     /*opensStore=*/true},
     {"serve", "long-running experiment service on a socket",
      "usage: refrint_cli serve (--socket PATH | --port N) [options]\n"
      "  --socket PATH    listen on a unix socket\n"
      "  --port N         listen on 127.0.0.1:N\n"
      "  --store DIR      sharded result store (answers warm scenarios\n"
-     "                   without simulating)\n"
-     "  --cache PATH     legacy cache instead of a store\n"
+     "                   without simulating; without it every request\n"
+     "                   simulates)\n"
      "  --jobs N         worker threads for cold scenarios\n"
      "  --max-queue N    pending-connection bound; a full queue sheds\n"
      "                   new connections with {\"error\":\"overloaded\"}\n"
@@ -1169,7 +1148,8 @@ const Command kCommands[] = {
      "service counters; {\"op\":\"shutdown\"} stops the server.\n"
      "SIGTERM drains gracefully: stop accepting, finish queued\n"
      "connections, flush the store, exit 0.\n",
-     cmdServe},
+     cmdServe, /*runsPlans=*/false, /*usesPlan=*/false,
+     /*opensStore=*/true},
     {"submit", "send one request to a running 'serve'",
      "usage: refrint_cli submit (--socket PATH | --port N)\n"
      "                          (--plan FILE | stats | shutdown)\n"
@@ -1180,12 +1160,11 @@ const Command kCommands[] = {
      "without sleeps.  Exits 1 when the server answers an error.\n",
      cmdSubmit, /*runsPlans=*/false, /*usesPlan=*/true},
     {"cache", "migrate into, or scrub & repair, a sharded store",
-     "usage: refrint_cli cache migrate --store DIR [--cache PATH]\n"
+     "usage: refrint_cli cache migrate --in FILE --store DIR\n"
      "       refrint_cli cache scrub   --store DIR [--repair]\n"
      "  --store DIR      the sharded store to import into / verify\n"
-     "  --cache PATH     migrate: source cache file (default\n"
-     "                   $REFRINT_CACHE or ./refrint_sweep_cache.csv);\n"
-     "                   read, never modified\n"
+     "  --in FILE        migrate: the legacy CSV cache to import\n"
+     "                   (v5-v8 header); read, never modified\n"
      "  --repair         scrub: quarantine damaged lines to\n"
      "                   shard-NNN.bad and atomically rebuild each\n"
      "                   shard from its valid rows (duplicates\n"
@@ -1195,12 +1174,12 @@ const Command kCommands[] = {
      "verifies every record's framing checksum, tells crash-torn\n"
      "tails from mid-file corruption, and exits 1 on unrepaired\n"
      "damage.\n",
-     cmdCache},
+     cmdCache, /*runsPlans=*/false, /*usesPlan=*/false,
+     /*opensStore=*/true},
     {"validate", "check a result corpus against the model invariants",
-     "usage: refrint_cli validate (--store DIR | --cache PATH) "
-     "[options]\n"
-     "  --store DIR      sharded result store to validate\n"
-     "  --cache PATH     legacy single-file cache to validate\n"
+     "usage: refrint_cli validate --store DIR [options]\n"
+     "  --store DIR      sharded result store to validate (import a\n"
+     "                   legacy CSV cache with 'cache migrate' first)\n"
      "  --out FILE       write a machine-readable JSON report\n"
      "  --verbose        list every finding, not just the summary\n"
      "\nStreams every row of the corpus and checks row-local\n"
@@ -1211,7 +1190,8 @@ const Command kCommands[] = {
      "All >= Valid >= Dirty refresh ordering, energy monotone along\n"
      "the retention axis).  Exit codes: 0 clean, 1 violations or an\n"
      "unreadable corpus, 2 usage error.\n",
-     cmdValidate},
+     cmdValidate, /*runsPlans=*/false, /*usesPlan=*/false,
+     /*opensStore=*/true},
     {"trace-record", "record a workload's reference stream to a file",
      "usage: refrint_cli trace-record --app NAME --out FILE\n"
      "  --refs N --seed S --cores N    recording parameters\n",
