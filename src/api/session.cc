@@ -9,6 +9,7 @@
 #include "common/arena.hh"
 #include "common/log.hh"
 #include "harness/pool.hh"
+#include "mem/array_pool.hh"
 
 namespace refrint
 {
@@ -20,11 +21,15 @@ namespace
  * Private scratch state of one sweep worker, reused across every
  * scenario the worker claims:
  *
- *  - arena: backing store for each run's simulator allocations (cache
- *    arrays, refresh heaps, event-queue bands).  reset() before each
+ *  - arena: backing store for each run's other simulator allocations
+ *    (refresh heaps, event-queue bands).  reset() before each
  *    simulation recycles the chunks instead of round-tripping them
  *    through malloc — by the second scenario a worker allocates
  *    nothing from the OS.
+ *  - arrays: the cache arrays' storage, which the previous scenario
+ *    restored to construction state (only its touched sets) and gave
+ *    back, so a run on the same machine allocates and initialises no
+ *    array storage.
  *  - machines: memoized MachineConfig per distinct machine identity.
  *    A plan axis typically crosses many workloads with few machines,
  *    so most runs reuse a read-only config instead of rebuilding the
@@ -33,12 +38,14 @@ namespace
  *    the registry's parse + lock on repeat specs.
  *
  * None of this can affect results: configs and workloads are
- * value-identical to what Scenario would rebuild, and the arena only
- * moves allocations (common/arena.hh, determinism note).
+ * value-identical to what Scenario would rebuild, the arena only moves
+ * allocations (common/arena.hh, determinism note), and a recycled
+ * array equals a fresh one (mem/array_pool.hh).
  */
 struct WorkerCtx
 {
     Arena arena;
+    ArrayPool arrays;
     std::map<std::string, MachineConfig> machines;
     std::map<std::string, const Workload *> workloads;
 };
@@ -188,7 +195,7 @@ Session::run(const ExperimentPlan &plan,
             // simulator) is dead by now; recycle the chunks.
             ctx.arena.reset();
             RunResult r = runOnce(mit->second, *wl, sc.sim, plan.energy,
-                                  &ctx.arena);
+                                  &ctx.arena, &ctx.arrays);
             // Stamp the plan's labels (0.0 retention for SRAM
             // baselines; the scenario's own app spelling, which for a
             // spec workload may be terser than the canonical name the

@@ -4,6 +4,7 @@
 
 #include "common/log.hh"
 #include "edram/refresh_engine.hh"
+#include "mem/array_pool.hh"
 
 namespace refrint
 {
@@ -113,10 +114,11 @@ struct Hierarchy::TargetAdapter : public RefreshTarget
 };
 
 Hierarchy::Hierarchy(const MachineConfig &cfg, EventQueue &eq,
-                     Arena *arena)
+                     Arena *arena, ArrayPool *pool)
     : cfg_(cfg),
       eq_(eq),
       arena_(arena),
+      pool_(pool),
       net_(cfg.torusDim, cfg.hopLatency, cfg.dataSerialization, netStats_),
       dram_(cfg.dramLatency, cfg.dramMinGap, dramStats_)
 {
@@ -171,21 +173,31 @@ Hierarchy::buildUnits()
 
     // Instantiate units: core-major across the private levels (one
     // tile's caches are adjacent), then the shared levels per bank.
+    std::vector<Level *> order;
     for (CoreId c = 0; c < cfg_.numCores; ++c) {
         for (Level &lv : levels_) {
-            if (lv.spec->sharing != Sharing::Private)
-                continue;
-            lv.units.push_back(std::make_unique<CacheUnit>(
-                lv.spec->name, lv.spec->geom, *lv.stats, arena_));
+            if (lv.spec->sharing == Sharing::Private)
+                order.push_back(&lv);
         }
     }
     for (Level &lv : levels_) {
         if (lv.spec->sharing != Sharing::BankedShared)
             continue;
-        for (std::uint32_t b = 0; b < cfg_.numBanks; ++b) {
-            lv.units.push_back(std::make_unique<CacheUnit>(
-                lv.spec->name, lv.spec->geom, *lv.stats, arena_));
-        }
+        for (std::uint32_t b = 0; b < cfg_.numBanks; ++b)
+            order.push_back(&lv);
+    }
+    // A pooled machine first frees the held storage none of its arrays
+    // will take, so a worker never holds two machines' arrays.
+    if (pool_ != nullptr) {
+        std::vector<ArrayShape> shapes;
+        shapes.reserve(order.size());
+        for (const Level *lv : order)
+            shapes.push_back(ArrayShape::of(lv->spec->geom));
+        pool_->keepOnly(std::move(shapes));
+    }
+    for (Level *lv : order) {
+        lv->units.push_back(std::make_unique<CacheUnit>(
+            lv->spec->name, lv->spec->geom, *lv->stats, arena_, pool_));
     }
 
     // Resolve the protocol's role handles.
@@ -727,14 +739,16 @@ Hierarchy::upperRefreshInvalidate(CacheUnit &unit, CoreId c,
 void
 Hierarchy::flushDirty()
 {
+    // Only journaled sets can hold a valid line.
     for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        l2s_[c]->array.forEachLine([&](std::uint32_t, CacheLine &l) {
-            if (l.valid() && l.state == Mesi::Modified)
-                dram_.accountUntimedWrite();
-        });
+        l2s_[c]->array.forEachTouchedLine(
+            [&](std::uint32_t, CacheLine &l) {
+                if (l.valid() && l.state == Mesi::Modified)
+                    dram_.accountUntimedWrite();
+            });
     }
     for (CacheUnit *bank : l3s_) {
-        bank->array.forEachLine([&](std::uint32_t, CacheLine &l) {
+        bank->array.forEachTouchedLine([&](std::uint32_t, CacheLine &l) {
             if (l.valid() && l.dirty)
                 dram_.accountUntimedWrite();
         });

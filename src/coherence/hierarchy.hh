@@ -73,9 +73,11 @@ class Hierarchy
   public:
     /** @p arena, when non-null, backs the cache arrays and refresh
      *  engine heaps (a sweep worker recycles it between scenarios; see
-     *  common/arena.hh).  The hierarchy must not outlive it. */
+     *  common/arena.hh).  @p pool, when non-null, supplies the cache
+     *  arrays' storage instead and gets it back restored
+     *  (mem/array_pool.hh).  The hierarchy must not outlive either. */
     Hierarchy(const MachineConfig &cfg, EventQueue &eq,
-              Arena *arena = nullptr);
+              Arena *arena = nullptr, ArrayPool *pool = nullptr);
     ~Hierarchy();
 
     Hierarchy(const Hierarchy &) = delete;
@@ -97,7 +99,8 @@ class Hierarchy
     Tick access(CoreId c, Addr a, AccessType type, Tick now,
                 std::uint32_t blocks = 1);
 
-    /** Charge the end-of-run write-back of all dirty data (§6). */
+    /** Charge the end-of-run write-back of all dirty data (§6).  Walks
+     *  only the arrays' touched sets (cache_array.hh). */
     void flushDirty();
 
     /** Verify inclusion/directory/retention invariants; panics on
@@ -216,6 +219,7 @@ class Hierarchy
     MachineConfig cfg_;
     EventQueue &eq_;
     Arena *arena_ = nullptr; ///< optional recycled backing store
+    ArrayPool *pool_ = nullptr; ///< optional recycled array storage
 
     /** Precomputed bankOf() slicing; mask 0 = non-power-of-two bank
      *  count, fall back to modulo. */

@@ -10,6 +10,14 @@
  * chunks stay hot in the worker's cache and the allocator becomes a
  * pointer bump.
  *
+ * The arena recycles memory, not contents: whatever it backs is built
+ * (value-initialised) again in every scenario.  The cache arrays, the
+ * one structure whose construction cost grows with the machine rather
+ * than with the sets a scenario touches, therefore come from the
+ * worker's ArrayPool instead (mem/array_pool.hh), which hands them over
+ * already restored; the arena backs them only for callers without a
+ * pool.
+ *
  * Ownership/lifetime contract:
  *  - The Arena must outlive every container allocated from it (Session
  *    resets a worker's arena only after the scenario's RunResult has

@@ -26,6 +26,12 @@ RefreshEngine::RefreshEngine(RefreshTarget &target,
     const std::vector<Tick> draws = retention.drawLineRetentions(lines);
     lineRetention_.assign(draws.begin(), draws.end());
     nominalLineRetention_.assign(draws.begin(), draws.end());
+    // The All policy refreshes, and so re-stamps the clocks of, lines
+    // that were never installed, which the array's journal does not
+    // see.  Under any other policy an engine writes only lines that are
+    // or were valid, which the journal covers (cache_array.hh).
+    if (policy_.data == DataPolicy::All)
+        arr_.markFullRestore();
 
     refreshes_ = &stats.counter("line_refreshes");
     wbs_ = &stats.counter("refresh_writebacks");

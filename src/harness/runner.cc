@@ -51,9 +51,10 @@ collectLatencies(CmpSystem &sys, RunResult &r)
 
 RunResult
 runOnce(const MachineConfig &cfg, const Workload &app,
-        const SimParams &params, const EnergyParams &energy, Arena *arena)
+        const SimParams &params, const EnergyParams &energy, Arena *arena,
+        ArrayPool *pool)
 {
-    CmpSystem sys(cfg, app, params, arena);
+    CmpSystem sys(cfg, app, params, arena, pool);
     sys.run();
 
     RunResult r;

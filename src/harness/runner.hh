@@ -83,12 +83,13 @@ struct NormalizedResult
 };
 
 /** Run @p app on @p cfg and collect the result.  @p arena, when
- *  non-null, backs the run's simulator allocations (recycled by sweep
- *  workers; see common/arena.hh). */
+ *  non-null, backs the run's simulator allocations, and @p pool the
+ *  cache arrays' storage (both recycled by sweep workers; see
+ *  common/arena.hh and mem/array_pool.hh). */
 RunResult runOnce(const MachineConfig &cfg, const Workload &app,
                   const SimParams &params,
                   const EnergyParams &energy = EnergyParams::calibrated(),
-                  Arena *arena = nullptr);
+                  Arena *arena = nullptr, ArrayPool *pool = nullptr);
 
 /**
  * Whether @p base can serve as a normalization baseline: nonzero

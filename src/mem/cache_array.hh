@@ -24,6 +24,19 @@
  * produce a hit.  A probe word is the full line-aligned address | 1,
  * so equal words imply equal set index — a cross-set false match is
  * structurally impossible even without the mask.
+ *
+ * Touched-set journal: install() ORs its set's bit into a per-array
+ * bitmap (one bit per set, branch-free, on the miss path only).  Every
+ * line that has ever been valid, and so every line whose tag, state,
+ * directory, LRU or refresh fields differ from construction, sits in a
+ * journaled set — with one exception: refresh engines under the All
+ * data policy stamp dataExpiry on every line, valid or not, and mark
+ * the array with markFullRestore() instead.  Hierarchy::flushDirty
+ * walks the journal rather than every line, and a pooled array (see
+ * mem/array_pool.hh) restores exactly the journaled sets — or all of
+ * them after markFullRestore() — to construction state when it is
+ * destroyed, so the next scenario's array starts identical to a fresh
+ * one.
  */
 
 #ifndef REFRINT_MEM_CACHE_ARRAY_HH
@@ -128,14 +141,53 @@ struct VictimRef
     std::uint32_t index = 0; ///< flat line index
 };
 
+/** What makes two arrays' storage interchangeable: line and set
+ *  counts. */
+struct ArrayShape
+{
+    std::uint32_t lines = 0;
+    std::uint32_t sets = 0;
+
+    static ArrayShape
+    of(const CacheGeometry &g)
+    {
+        return {g.numLines(), g.numSets()};
+    }
+
+    bool
+    operator==(const ArrayShape &o) const
+    {
+        return lines == o.lines && sets == o.sets;
+    }
+};
+
+/** The storage of one CacheArray.  A newly built one is in
+ *  construction state: default lines, zero probe words and LRU stamps,
+ *  an empty journal. */
+struct ArrayStorage
+{
+    ArrayStorage() = default;
+    ArrayStorage(ArrayShape shape, Arena *arena);
+
+    ArenaVector<CacheLine> lines;
+    ArenaVector<Addr> probe; ///< lines + kProbePad words
+    ArenaVector<Tick> lastTouch;
+    ArenaVector<std::uint64_t> touchedSets; ///< journal, one bit per set
+};
+
+class ArrayPool;
+
 class CacheArray
 {
   public:
     /** @p arena, when non-null, backs the line/probe/LRU arrays so a
      *  sweep worker can recycle them across scenarios (see arena.hh);
-     *  null keeps plain heap allocation. */
+     *  null keeps plain heap allocation.  @p pool, when non-null,
+     *  supplies the storage instead and takes it back, restored, when
+     *  the array is destroyed (see array_pool.hh). */
     CacheArray(const CacheGeometry &geom, const char *name,
-               Arena *arena = nullptr);
+               Arena *arena = nullptr, ArrayPool *pool = nullptr);
+    ~CacheArray();
 
     CacheArray(const CacheArray &) = delete;
     CacheArray &operator=(const CacheArray &) = delete;
@@ -173,8 +225,9 @@ class CacheArray
         const std::uint32_t set = setIndexOf(addr);
         const Addr want = tagOf(addr) | 1;
         const std::size_t base = static_cast<std::size_t>(set) * assoc_;
-        const int w = probeFindWay(probe_.data() + base, assoc_, want);
-        return w >= 0 ? &lines_[base + static_cast<std::uint32_t>(w)]
+        const int w =
+            probeFindWay(buf_.probe.data() + base, assoc_, want);
+        return w >= 0 ? &buf_.lines[base + static_cast<std::uint32_t>(w)]
                       : nullptr;
     }
 
@@ -188,17 +241,21 @@ class CacheArray
     std::uint32_t
     indexOf(const CacheLine *line) const
     {
-        return static_cast<std::uint32_t>(line - lines_.data());
+        return static_cast<std::uint32_t>(line - buf_.lines.data());
     }
 
     /** Line at flat index @p idx. */
-    CacheLine &lineAt(std::uint32_t idx) { return lines_[idx]; }
-    const CacheLine &lineAt(std::uint32_t idx) const { return lines_[idx]; }
+    CacheLine &lineAt(std::uint32_t idx) { return buf_.lines[idx]; }
+    const CacheLine &
+    lineAt(std::uint32_t idx) const
+    {
+        return buf_.lines[idx];
+    }
 
     /** Raw packed probe words ((tag | 1) when valid, 0 otherwise), one
      *  per flat line index.  Lets the refresh engines test validity
      *  from a dense array instead of striding line structs. */
-    const Addr *probeData() const { return probe_.data(); }
+    const Addr *probeData() const { return buf_.probe.data(); }
 
     /**
      * Choose a victim way in @p addr's set: an invalid way if one
@@ -209,7 +266,7 @@ class CacheArray
     /**
      * Install @p addr into @p v (caller already evicted the victim)
      * with initial MESI state @p st.  Resets all other metadata to
-     * clean defaults.
+     * clean defaults, and journals the set (file comment).
      */
     void
     install(VictimRef v, Addr addr, Tick now, Mesi st)
@@ -221,8 +278,10 @@ class CacheArray
         l.sharers = 0;
         l.owner = -1;
         l.count = 0;
-        lastTouch_[v.index] = now;
-        probe_[v.index] = st != Mesi::Invalid ? (l.tag | 1) : 0;
+        buf_.lastTouch[v.index] = now;
+        buf_.probe[v.index] = st != Mesi::Invalid ? (l.tag | 1) : 0;
+        const std::uint32_t set = v.index >> assocShift_;
+        buf_.touchedSets[set >> 6] |= std::uint64_t{1} << (set & 63);
     }
 
     /** Invalidate @p line (MESI + directory residue + probe mirror).
@@ -231,18 +290,27 @@ class CacheArray
     invalidate(CacheLine &line)
     {
         line.invalidate();
-        probe_[indexOf(&line)] = 0;
+        buf_.probe[indexOf(&line)] = 0;
     }
 
     /** Update LRU on an access. */
     void
     touch(const CacheLine &line, Tick now)
     {
-        lastTouch_[indexOf(&line)] = now;
+        buf_.lastTouch[indexOf(&line)] = now;
     }
 
     /** LRU timestamp of line @p idx (ties broken by way order). */
-    Tick lastTouchOf(std::uint32_t idx) const { return lastTouch_[idx]; }
+    Tick
+    lastTouchOf(std::uint32_t idx) const
+    {
+        return buf_.lastTouch[idx];
+    }
+
+    /** Record that lines outside the journal were written (a refresh
+     *  engine stamping every line's clock): a pooled array then
+     *  restores every line, not just the journaled sets. */
+    void markFullRestore() { fullRestore_ = true; }
 
     /** Count lines in a given validity predicate (tests/diagnostics). */
     std::uint32_t countValid() const;
@@ -258,12 +326,45 @@ class CacheArray
     forEachLine(Fn &&fn)
     {
         for (std::uint32_t i = 0; i < numLines_; ++i)
-            fn(i, lines_[i]);
+            fn(i, buf_.lines[i]);
+    }
+
+    /** Iterate every line of the journaled sets, in ascending index
+     *  order: a superset of the lines that can be valid. */
+    template <typename Fn>
+    void
+    forEachTouchedLine(Fn &&fn)
+    {
+        forEachTouchedSet([&](std::uint32_t lo, std::uint32_t hi) {
+            for (std::uint32_t i = lo; i < hi; ++i)
+                fn(i, buf_.lines[i]);
+        });
     }
 
   private:
-    CacheGeometry geom_;
-    std::uint32_t numLines_;
+    /** Call @p fn(lo, hi) with the flat line range of every journaled
+     *  set, in ascending order. */
+    template <typename Fn>
+    void
+    forEachTouchedSet(Fn &&fn) const
+    {
+        const std::uint64_t *words = buf_.touchedSets.data();
+        const std::size_t n = buf_.touchedSets.size();
+        for (std::size_t w = 0; w < n; ++w) {
+            for (std::uint64_t m = words[w]; m != 0; m &= m - 1) {
+                const auto set = static_cast<std::uint32_t>(
+                    w * 64 + static_cast<unsigned>(__builtin_ctzll(m)));
+                fn(set << assocShift_, (set + 1) << assocShift_);
+            }
+        }
+    }
+
+    /** Put every written line back in construction state and clear the
+     *  journal (a pooled array, before its storage is reused). */
+    void restore();
+
+    // The access path reads the members from here to buf_; they come
+    // first so they span as few cache lines as possible.
 
     // Precomputed address slicing (see setIndexOf).
     unsigned setShift_ = 0;
@@ -271,18 +372,28 @@ class CacheArray
     Addr setMask_ = 0;
     Addr lineMask_ = 0;
     std::uint32_t assoc_ = 1;
+    unsigned assocShift_ = 0; ///< log2(assoc_): flat index -> set
     bool hashSets_ = false;
 
-    ArenaVector<CacheLine> lines_;
+    /**
+     * Lines, plus two packed per-line mirrors and the journal:
+     *  - probe: (tag | 1) when valid, 0 otherwise.  Tags are
+     *    line-aligned so bit 0 is free to carry validity.  Sized
+     *    numLines_ + kProbePad: the pad words stay 0 forever and exist
+     *    only so a vector probe may over-read the last set.
+     *  - lastTouch: LRU timestamps.
+     *  - touchedSets: the touched-set journal (file comment).
+     */
+    ArrayStorage buf_;
 
-    /** Packed probe word per line: (tag | 1) when valid, 0 otherwise.
-     *  Tags are line-aligned so bit 0 is free to carry validity.
-     *  Sized numLines_ + kProbePad: the pad words stay 0 forever and
-     *  exist only so a vector probe may over-read the last set. */
-    ArenaVector<Addr> probe_;
+    CacheGeometry geom_;
+    std::uint32_t numLines_;
 
-    /** Packed LRU timestamps, one per flat line index. */
-    ArenaVector<Tick> lastTouch_;
+    /** Lines outside the journal were written (markFullRestore). */
+    bool fullRestore_ = false;
+
+    /** Storage supplier, or null when the array owns its storage. */
+    ArrayPool *pool_ = nullptr;
 };
 
 } // namespace refrint

@@ -31,10 +31,13 @@ class CacheUnit
      *               per-level energy, never per-unit).
      * @param arena  Optional recycled backing store for the tag/probe
      *               arrays (sweep workers; see common/arena.hh).
+     * @param pool   Optional per-worker source of restored array
+     *               storage, used instead of @p arena (array_pool.hh).
      */
     CacheUnit(const char *name, const CacheGeometry &geom,
-              StatGroup &stats, Arena *arena = nullptr)
-        : array(geom, name, arena), latency(geom.latency)
+              StatGroup &stats, Arena *arena = nullptr,
+              ArrayPool *pool = nullptr)
+        : latency(geom.latency), array(geom, name, arena, pool)
     {
         reads = &stats.counter("reads");
         writes = &stats.counter("writes");
@@ -157,7 +160,9 @@ class CacheUnit
         }
     }
 
-    CacheArray array;
+    // Scalars first, then the array, whose hot members lead it: the
+    // access path then spans as few cache lines of the unit as
+    // possible.
     Tick latency;
     Tick busyUntil = 0;
 
@@ -177,6 +182,8 @@ class CacheUnit
     /** Accesses that found a line past its data retention — must stay 0;
      *  a nonzero value indicates a refresh-engine bug. */
     Counter *decayed;
+
+    CacheArray array;
 };
 
 } // namespace refrint

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -151,7 +152,22 @@ ShardedStore::ShardedStore(std::string dir, unsigned shards,
         doc.set("version", JsonValue::number(kStoreVersion));
         doc.set("shards",
                 JsonValue::number(static_cast<double>(shards_)));
-        writeFileDurably(manifestPath(dir_), doc.dump(2) + "\n");
+        // Processes may create the same store at once (a coordinator's
+        // workers): publish the whole manifest with link(2), which
+        // fails if another process published first — whose manifest
+        // then wins — so no process ever reads a partly written one.
+        const std::string path = manifestPath(dir_);
+        const std::string tmp =
+            path + ".tmp." + std::to_string(::getpid());
+        writeFileDurably(tmp, doc.dump(2) + "\n");
+        const bool published = ::link(tmp.c_str(), path.c_str()) == 0;
+        const int linkErrno = errno;
+        ::unlink(tmp.c_str());
+        if (!published && linkErrno != EEXIST)
+            fatal("cannot publish store manifest %s: %s", path.c_str(),
+                  std::strerror(linkErrno));
+        if (!published)
+            shards_ = readManifestShards(dir_);
         syncDirectory(dir_);
     }
 
@@ -457,7 +473,8 @@ scrubStore(const std::string &dir, bool repair, std::FILE *out)
 }
 
 std::size_t
-migrateLegacyCache(const std::string &cachePath, ShardedStore &store)
+migrateLegacyCache(const std::string &cachePath,
+                   const std::string &storeDir)
 {
     std::ifstream in(cachePath); // read-only import: never written back
     if (!in)
@@ -478,6 +495,7 @@ migrateLegacyCache(const std::string &cachePath, ShardedStore &store)
         if (decodeCacheRow(line.substr(sep + 1), c))
             rows[line.substr(0, sep)] = c;
     }
+    ShardedStore store(storeDir);
     for (const auto &[key, row] : rows)
         store.insert(key, row);
     store.flush();

@@ -151,16 +151,18 @@ ScrubReport scrubStore(const std::string &dir, bool repair,
                        std::FILE *out = nullptr);
 
 /**
- * Import every row of a legacy single-file CSV cache into @p store.
- * The file is a "vN" header line (v5 to v8) followed by one
- * "key;row" line per run, the row in the encodeCacheRow codec; the
- * last line of a repeated key wins.  Returns the number of rows
- * imported; fatal (exit 1) when @p cachePath is missing or unreadable
- * or its header names another version.  The legacy file is only read,
+ * Import every row of a legacy single-file CSV cache into the sharded
+ * store at @p storeDir.  The file is a "vN" header line (v5 to v8)
+ * followed by one "key;row" line per run, the row in the
+ * encodeCacheRow codec; the last line of a repeated key wins.  Returns
+ * the number of rows imported; fatal (exit 1) when @p cachePath is
+ * missing or unreadable or its header names another version.  The file
+ * is read and checked before the store is opened, so a failed
+ * migration leaves no store behind.  The legacy file is only read,
  * never modified.
  */
 std::size_t migrateLegacyCache(const std::string &cachePath,
-                               ShardedStore &store);
+                               const std::string &storeDir);
 
 } // namespace refrint
 

@@ -6,10 +6,11 @@ namespace refrint
 {
 
 CmpSystem::CmpSystem(const MachineConfig &cfg, const Workload &app,
-                     const SimParams &params, Arena *arena)
+                     const SimParams &params, Arena *arena,
+                     ArrayPool *pool)
     : eq_(arena), params_(params)
 {
-    hier_ = std::make_unique<Hierarchy>(cfg, eq_, arena);
+    hier_ = std::make_unique<Hierarchy>(cfg, eq_, arena, pool);
     for (CoreId c = 0; c < cfg.numCores; ++c) {
         cores_.push_back(std::make_unique<Core>(
             c, *hier_, eq_, app.makeStream(c, cfg.numCores, params.seed),

@@ -38,9 +38,13 @@ class CmpSystem
     /** @p arena, when non-null, backs the event queue's bands, the
      *  cache arrays and the refresh-engine heaps so a sweep worker can
      *  recycle one allocation across scenarios (see common/arena.hh).
-     *  The system must be destroyed before the arena is reset. */
+     *  The system must be destroyed before the arena is reset.  @p pool,
+     *  when non-null, supplies the cache arrays' storage instead, and
+     *  gets it back restored when the system is destroyed
+     *  (mem/array_pool.hh). */
     CmpSystem(const MachineConfig &cfg, const Workload &app,
-              const SimParams &params, Arena *arena = nullptr);
+              const SimParams &params, Arena *arena = nullptr,
+              ArrayPool *pool = nullptr);
     ~CmpSystem();
 
     CmpSystem(const CmpSystem &) = delete;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/prng.hh"
+#include "mem/array_pool.hh"
 #include "mem/cache_array.hh"
 
 namespace refrint::test
@@ -274,40 +275,106 @@ TEST(CacheArray, ProbeCoherenceUnderRandomChurn)
     }
 }
 
+namespace
+{
+
+/** One churn step on @p addr: touch on a hit, evict + install on a
+ *  miss. */
+void
+churnStep(CacheArray &arr, Addr addr, Tick now)
+{
+    CacheLine *l = arr.lookup(addr);
+    if (l != nullptr) {
+        arr.touch(*l, now);
+        return;
+    }
+    VictimRef v = arr.pickVictim(addr);
+    if (v.line->valid())
+        arr.invalidate(*v.line);
+    arr.install(v, addr, now, Mesi::Shared);
+}
+
+/** Every line field, probe word and LRU stamp of @p a equals @p b's. */
+void
+expectSameState(const CacheArray &a, const CacheArray &b)
+{
+    ASSERT_EQ(a.numLines(), b.numLines());
+    for (std::uint32_t i = 0; i < a.numLines(); ++i) {
+        const CacheLine &x = a.lineAt(i);
+        const CacheLine &y = b.lineAt(i);
+        ASSERT_EQ(x.tag, y.tag) << i;
+        ASSERT_EQ(x.dataExpiry, y.dataExpiry) << i;
+        ASSERT_EQ(x.sharers, y.sharers) << i;
+        ASSERT_EQ(x.count, y.count) << i;
+        ASSERT_EQ(x.state, y.state) << i;
+        ASSERT_EQ(x.dirty, y.dirty) << i;
+        ASSERT_EQ(x.owner, y.owner) << i;
+        ASSERT_EQ(a.probeData()[i], b.probeData()[i]) << i;
+        ASSERT_EQ(a.lastTouchOf(i), b.lastTouchOf(i)) << i;
+    }
+}
+
+} // namespace
+
 TEST(CacheArray, ArenaBackedArrayBehavesIdentically)
 {
-    // The same churn trace on a heap-backed and an arena-backed array
-    // must produce identical state (the arena only moves storage), and
-    // the arena must be recyclable across construction rounds.
+    // The same churn trace on a heap-backed, an arena-backed and a
+    // recycled array must produce identical state: the arena only
+    // moves storage, and a recycled array — taken back from the pool
+    // after a prior scenario — must equal a fresh one line for line,
+    // before the churn as well as after.  The arena and the pool must
+    // be reusable across construction rounds.
     Arena arena;
-    for (int round = 0; round < 3; ++round) {
+    ArrayPool pool;
+    for (int round = 0; round < 4; ++round) {
         arena.reset();
+        {
+            // The prior scenario installs into sets 0-3 only, directory
+            // fields included.  On even rounds it then stamps every
+            // line's clock the way an All-policy engine does, sets 4-7
+            // too; on odd rounds only valid lines' clocks change, as
+            // under any other policy.
+            CacheArray prior(geom8x2(), "p", nullptr, &pool);
+            Prng prng(0x5eed + static_cast<std::uint64_t>(round), 4);
+            for (Tick now = 1; now <= 3'000; ++now) {
+                const Addr line = prng.below(64) * 8;
+                const Addr a = (line + prng.below(4)) * 64;
+                churnStep(prior, a, now);
+                CacheLine *l = prior.lookup(a);
+                l->sharers = now;
+                l->owner = 3;
+                l->count = 7;
+                l->dirty = true;
+            }
+            const bool allPolicy = round % 2 == 0;
+            if (allPolicy)
+                prior.markFullRestore();
+            prior.forEachLine([&](std::uint32_t i, CacheLine &l) {
+                if (allPolicy || l.valid())
+                    l.dataExpiry = 10'000 + i;
+            });
+        }
+        ASSERT_EQ(pool.heldArrays(), 1u);
+
         CacheArray heap(geom8x2(), "h");
         CacheArray backed(geom8x2(), "a", &arena);
+        CacheArray recycled(geom8x2(), "r", nullptr, &pool);
+        ASSERT_EQ(pool.heldArrays(), 0u);
+        expectSameState(heap, recycled);
+
         Prng prng(0xabcd, 3);
         Tick now = 0;
         for (int op = 0; op < 5'000; ++op) {
             const Addr a = static_cast<Addr>(prng.below(256)) * 64;
             ++now;
-            for (CacheArray *arr : {&heap, &backed}) {
-                CacheLine *l = arr->lookup(a);
-                if (l != nullptr) {
-                    arr->touch(*l, now);
-                } else {
-                    VictimRef v = arr->pickVictim(a);
-                    if (v.line->valid())
-                        arr->invalidate(*v.line);
-                    arr->install(v, a, now, Mesi::Shared);
-                }
-            }
+            for (CacheArray *arr : {&heap, &backed, &recycled})
+                churnStep(*arr, a, now);
         }
         heap.checkProbeCoherence();
         backed.checkProbeCoherence();
-        for (std::uint32_t i = 0; i < heap.numLines(); ++i) {
-            ASSERT_EQ(heap.lineAt(i).tag, backed.lineAt(i).tag);
-            ASSERT_EQ(heap.lineAt(i).state, backed.lineAt(i).state);
-            ASSERT_EQ(heap.lastTouchOf(i), backed.lastTouchOf(i));
-        }
+        recycled.checkProbeCoherence();
+        expectSameState(heap, backed);
+        expectSameState(heap, recycled);
     }
 }
 

@@ -461,6 +461,23 @@ TEST_P(RandomTrafficTest, InvariantsHoldUnderRandomSharedTraffic)
             hier.checkInvariants(now);
     }
     hier.checkInvariants(now);
+
+    // flushDirty walks only the arrays' touched sets; it must charge
+    // exactly the dirty lines a scan of every line finds.
+    std::uint64_t dirty = 0;
+    for (CoreId c = 0; c < 4; ++c) {
+        hier.l2(c).array.forEachLine([&](std::uint32_t, CacheLine &l) {
+            dirty += l.valid() && l.state == Mesi::Modified ? 1 : 0;
+        });
+    }
+    for (std::uint32_t b = 0; b < hier.numBanks(); ++b) {
+        hier.l3Bank(b).array.forEachLine([&](std::uint32_t, CacheLine &l) {
+            dirty += l.valid() && l.dirty ? 1 : 0;
+        });
+    }
+    const std::uint64_t before = hier.dram().writes();
+    hier.flushDirty();
+    EXPECT_EQ(hier.dram().writes() - before, dirty);
 }
 
 INSTANTIATE_TEST_SUITE_P(

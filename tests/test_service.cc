@@ -332,6 +332,47 @@ TEST(ShardedStoreTest, TwoProcessesAppendToTheSameStore)
         }
 }
 
+TEST(ShardedStoreTest, ProcessesCreatingOneStoreAtOnceAgreeOnItsManifest)
+{
+    // A coordinator's workers may all create a fresh store at once.
+    // Each must open it (none may read a half-written manifest), and
+    // all must use the shard count of the one manifest that won, even
+    // when they asked for different counts.
+    for (int round = 0; round < 20; ++round) {
+        TempDir dir;
+        const std::string storeDir = dir.file("store");
+        int gate[2];
+        ASSERT_EQ(::pipe(gate), 0);
+        std::vector<pid_t> children;
+        for (int child = 0; child < 6; ++child) {
+            std::fflush(nullptr);
+            const pid_t pid = ::fork();
+            ASSERT_GE(pid, 0);
+            if (pid == 0) {
+                ::close(gate[1]);
+                char c;
+                while (::read(gate[0], &c, 1) > 0) {
+                } // released when the parent closes the pipe
+                ShardedStore store(storeDir, child % 2 == 0 ? 8 : 4);
+                ::_exit(static_cast<int>(store.shards()));
+            }
+            children.push_back(pid);
+        }
+        ::close(gate[0]);
+        ::close(gate[1]); // start every child at once
+        std::vector<unsigned> used;
+        for (const pid_t pid : children) {
+            int status = 0;
+            ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+            ASSERT_TRUE(WIFEXITED(status)) << "round " << round;
+            used.push_back(static_cast<unsigned>(WEXITSTATUS(status)));
+        }
+        const unsigned want = ShardedStore(storeDir).shards();
+        for (const unsigned u : used)
+            EXPECT_EQ(u, want) << "round " << round;
+    }
+}
+
 TEST(ShardedStoreTest, MigratesLegacyCacheRowsExactly)
 {
     TempDir dir;
@@ -347,8 +388,8 @@ TEST(ShardedStoreTest, MigratesLegacyCacheRowsExactly)
                    << encodeCacheRow(makeRow(static_cast<double>(i)))
                    << "\n";
     }
+    EXPECT_EQ(migrateLegacyCache(cachePath, dir.file("store")), 25u);
     ShardedStore store(dir.file("store"));
-    EXPECT_EQ(migrateLegacyCache(cachePath, store), 25u);
     EXPECT_EQ(store.rowCount(), 25u);
     for (int i = 0; i < 25; ++i) {
         CacheRow c{};
@@ -359,24 +400,29 @@ TEST(ShardedStoreTest, MigratesLegacyCacheRowsExactly)
     EXPECT_TRUE(std::filesystem::exists(cachePath));
 
     // A missing source is a clean exit-1 diagnostic.
-    EXPECT_EXIT(migrateLegacyCache(dir.file("nope.csv"), store),
+    EXPECT_EXIT(migrateLegacyCache(dir.file("nope.csv"), dir.file("store")),
                 ::testing::ExitedWithCode(1), "cannot read legacy");
 }
 
 TEST(ShardedStoreTest, MigrateRejectsACacheOfAnotherVersion)
 {
     TempDir dir;
-    ShardedStore store(dir.file("store"));
-    // A header outside v5-v8 is fatal, not a silent 0-row import.
+    // A header outside v5-v8 is fatal, not a silent 0-row import, and a
+    // missing file is fatal too; either way the store directory is
+    // never created.
+    const std::string storeDir = dir.file("store");
     for (const char *header : {"v4", "v9", ""}) {
         const std::string cachePath = dir.file("other.csv");
         std::ofstream(cachePath)
             << header << "\nk;" << encodeCacheRow(makeRow(1.0)) << "\n";
-        EXPECT_EXIT(migrateLegacyCache(cachePath, store),
+        EXPECT_EXIT(migrateLegacyCache(cachePath, storeDir),
                     ::testing::ExitedWithCode(1), "only v5-v8")
             << header;
+        EXPECT_FALSE(std::filesystem::exists(storeDir)) << header;
     }
-    EXPECT_EQ(store.rowCount(), 0u);
+    EXPECT_EXIT(migrateLegacyCache(dir.file("missing.csv"), storeDir),
+                ::testing::ExitedWithCode(1), "cannot read legacy");
+    EXPECT_FALSE(std::filesystem::exists(storeDir));
 }
 
 // ---------------------------------------------------------------------

@@ -102,8 +102,8 @@ struct Command
     bool runsPlans = false; ///< accepts the shared sink/store flags
     bool usesPlan = false;  ///< accepts --plan without the sink flags
                             ///< (worker, submit)
-    bool opensStore = false; ///< accepts --store/--sync without the
-                             ///< sink flags (worker, serve, cache,
+    bool opensStore = false; ///< accepts --store without the sink
+                             ///< flags (worker, serve, cache,
                              ///< validate)
 };
 
@@ -220,13 +220,15 @@ parseArgs(int argc, char **argv, int first)
             usageError("%s applies only to the plan-running commands "
                        "(sweep, figures, thermal-study)",
                        k.c_str());
-        if ((k == "--store" || k == "--sync") &&
+        if (k == "--store" &&
             (gActive == nullptr ||
              !(gActive->runsPlans || gActive->opensStore)))
-            usageError("%s applies only to the commands that open a "
-                       "result store (sweep, figures, thermal-study, "
-                       "worker, serve, cache, validate)",
-                       k.c_str());
+            usageError("--store applies only to the commands that open "
+                       "a result store (sweep, figures, thermal-study, "
+                       "worker, serve, cache, validate)");
+        if (k == "--sync" && (gActive == nullptr || !gActive->runsPlans))
+            usageError("--sync applies only to the plan-running commands "
+                       "(sweep, figures, thermal-study)");
         if (k == "--app") {
             a.app = val();
             a.apps.push_back(a.app);
@@ -656,6 +658,9 @@ sweepWithWorkers(const Args &a)
                    "--jsonl FILE (or --jsonl -)");
     if (!a.csv.empty() || a.progress)
         usageError("sweep --workers supports only the --jsonl sink");
+    if (a.sync)
+        usageError("--sync applies only to a single-process sweep; its "
+                   "workers append without it");
 
     char exe[4096];
     const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
@@ -944,8 +949,8 @@ cmdCache(const Args &a)
     if (a.in.empty())
         usageError("cache migrate needs --in FILE (the legacy CSV cache "
                    "to import)");
-    ShardedStore store(a.store);
-    const std::size_t n = migrateLegacyCache(a.in, store);
+    const std::size_t n = migrateLegacyCache(a.in, a.store);
+    const ShardedStore store(a.store);
     std::printf("migrated %zu row(s) from %s into %s (%u shards, "
                 "%zu rows total)\n",
                 n, a.in.c_str(), a.store.c_str(), store.shards(),
