@@ -1,6 +1,7 @@
 #include "api/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -80,10 +81,10 @@ JsonValue::get(const std::string &key) const
     return nullptr;
 }
 
-std::string
-jsonQuote(const std::string &s)
+void
+appendJsonString(std::string &out, const std::string &s)
 {
-    std::string out = "\"";
+    out += '"';
     for (const char c : s) {
         switch (c) {
           case '"':
@@ -112,21 +113,33 @@ jsonQuote(const std::string &s)
         }
     }
     out += '"';
+}
+
+std::string
+jsonQuote(const std::string &s)
+{
+    std::string out;
+    appendJsonString(out, s);
     return out;
+}
+
+void
+appendJsonNumber(std::string &out, double v)
+{
+    // The longest %.17g text is 24 bytes ("-2.2250738585072014e-308"),
+    // so to_chars never runs out of room here.
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+    out.append(buf, r.ptr);
 }
 
 std::string
 jsonNumber(double v)
 {
-    char buf[40];
-    // Integral values (counts, seeds, tick budgets) render as plain
-    // integers so plan files diff cleanly; everything else is %.17g,
-    // which round-trips a double exactly.
-    if (std::nearbyint(v) == v && std::fabs(v) < 9.0e15)
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-    else
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    std::string out;
+    appendJsonNumber(out, v);
+    return out;
 }
 
 void
@@ -149,10 +162,10 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         break;
       case Kind::Number:
-        out += jsonNumber(num_);
+        appendJsonNumber(out, num_);
         break;
       case Kind::String:
-        out += jsonQuote(str_);
+        appendJsonString(out, str_);
         break;
       case Kind::Array:
         if (arr_.empty()) {
@@ -180,7 +193,7 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
         out += nl;
         for (std::size_t i = 0; i < obj_.size(); ++i) {
             out += pad;
-            out += jsonQuote(obj_[i].first);
+            appendJsonString(out, obj_[i].first);
             out += colon;
             obj_[i].second.dumpTo(out, indent, depth + 1);
             if (i + 1 < obj_.size())
@@ -233,6 +246,18 @@ class Parser
     {
         err_ = what + " at offset " + std::to_string(pos_);
         return false;
+    }
+
+    static int
+    hexDigit(char c)
+    {
+        if (c >= '0' && c <= '9')
+            return c - '0';
+        if (c >= 'a' && c <= 'f')
+            return c - 'a' + 10;
+        if (c >= 'A' && c <= 'F')
+            return c - 'A' + 10;
+        return -1;
     }
 
     void
@@ -297,11 +322,15 @@ class Parser
                   case 'u': {
                     if (pos_ + 4 > text_.size())
                         return fail("truncated \\u escape");
-                    char *end = nullptr;
-                    const std::string hex = text_.substr(pos_, 4);
-                    const long cp = std::strtol(hex.c_str(), &end, 16);
-                    if (end != hex.c_str() + 4)
-                        return fail("bad \\u escape");
+                    // Exactly four hex digits (strtol would also take
+                    // a sign, spaces or a 0x prefix).
+                    long cp = 0;
+                    for (std::size_t k = 0; k < 4; ++k) {
+                        const int d = hexDigit(text_[pos_ + k]);
+                        if (d < 0)
+                            return fail("bad \\u escape");
+                        cp = cp * 16 + d;
+                    }
                     pos_ += 4;
                     // Plan files are ASCII; encode BMP code points as
                     // UTF-8 without surrogate-pair handling.

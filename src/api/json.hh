@@ -5,8 +5,13 @@
  *
  * Deliberately small and dependency-free: objects keep insertion
  * order (so a dumped plan is stable and diffs cleanly), numbers are
- * doubles printed with %.17g (exact double round-trip, integers render
- * without an exponent), and parse errors carry a character offset.
+ * doubles printed exactly as %.17g prints them (appendJsonNumber), and
+ * parse errors carry a character offset.
+ *
+ * The two append helpers at the bottom are the building blocks of
+ * every number and string the program writes as text: the tree's
+ * dump() uses them, and so do the JSON Lines row writer and the store
+ * row codec, which append straight into one buffer without a tree.
  */
 
 #ifndef REFRINT_API_JSON_HH
@@ -91,11 +96,27 @@ class JsonValue
     void dumpTo(std::string &out, int indent, int depth) const;
 };
 
+/** Append @p s to @p out as a JSON string literal, quotes included. */
+void appendJsonString(std::string &out, const std::string &s);
+
 /** Escape @p s as a JSON string literal, including the quotes. */
 std::string jsonQuote(const std::string &s);
 
-/** Render a double the way the experiment API serializes numbers:
- *  integral values without exponent/decimals, %.17g otherwise. */
+/**
+ * Append @p v to @p out exactly as printf("%.17g") prints it: 17
+ * significant digits, enough to round-trip any double, with trailing
+ * zeros stripped, so integral values below 1e17 print as plain
+ * integers.  The one formatter for every exact double the program
+ * writes as text: JSON numbers, JSON Lines rows and store rows.
+ *
+ * It is std::to_chars(chars_format::general, 17), which the standard
+ * defines as %.17g in the "C" locale.  The program never calls
+ * setlocale, so the two agree byte for byte; a caller that switched
+ * LC_NUMERIC would change printf's decimal point, not this output.
+ */
+void appendJsonNumber(std::string &out, double v);
+
+/** appendJsonNumber into a fresh string. */
 std::string jsonNumber(double v);
 
 } // namespace refrint

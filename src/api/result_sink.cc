@@ -30,6 +30,51 @@ csvField(const std::string &s)
     return out;
 }
 
+/** Open member @p name of the JSON object being appended to @p out,
+ *  after a comma unless it is the object's first.  Member names are
+ *  plain identifiers, so they need no escaping. */
+void
+jsonKey(std::string &out, const char *name)
+{
+    if (out.back() != '{')
+        out += ',';
+    out += '"';
+    out += name;
+    out += "\":";
+}
+
+void
+jsonMember(std::string &out, const char *name, double v)
+{
+    jsonKey(out, name);
+    appendJsonNumber(out, v);
+}
+
+void
+jsonMember(std::string &out, const char *name, const std::string &s)
+{
+    jsonKey(out, name);
+    appendJsonString(out, s);
+}
+
+/** The nine aggregates of an energy estimate, as a nested object. */
+void
+energyMember(std::string &out, const char *name, const EnergyBreakdown &e)
+{
+    jsonKey(out, name);
+    out += '{';
+    jsonMember(out, "l1", e.l1);
+    jsonMember(out, "l2", e.l2);
+    jsonMember(out, "l3", e.l3);
+    jsonMember(out, "dram", e.dram);
+    jsonMember(out, "dynamic", e.dynamic);
+    jsonMember(out, "leakage", e.leakage);
+    jsonMember(out, "refresh", e.refresh);
+    jsonMember(out, "core", e.core);
+    jsonMember(out, "net", e.net);
+    out += '}';
+}
+
 } // namespace
 
 void
@@ -102,114 +147,96 @@ JsonLinesSink::consume(const ExperimentPlan &plan, std::size_t index,
                        const RunResult &r, const NormalizedResult *norm,
                        bool simulated)
 {
-    JsonValue o = JsonValue::object();
-    o.set("plan", JsonValue::string(plan.name));
+    // Appended member by member into one reused buffer.  The bytes
+    // must stay those JsonValue::dump(0) gives for the row as a tree
+    // (SessionTest.JsonLinesRowsMatchTheirJsonValueTree).
+    std::string &o = line_;
+    o.clear();
+    o += '{';
+    jsonMember(o, "plan", plan.name);
     // The row's actual cache identity, including the plan's energy
     // tag, so rows from different energy models never alias.
     ScenarioKey key = plan.scenarios[index].key();
     key.energy = energyTag_;
-    o.set("key", JsonValue::string(key.str()));
-    o.set("app", JsonValue::string(r.app));
-    o.set("config", JsonValue::string(r.config));
-    o.set("machine", JsonValue::string(r.machine));
-    o.set("retentionUs", JsonValue::number(r.retentionUs));
-    o.set("ambientC", JsonValue::number(r.ambientC));
-    o.set("maxTempC", JsonValue::number(r.maxTempC));
-    o.set("execTicks",
-          JsonValue::number(static_cast<double>(r.execTicks)));
-    o.set("instructions",
-          JsonValue::number(static_cast<double>(r.instructions)));
-    o.set("simulated", JsonValue::boolean(simulated));
-    o.set("requests", JsonValue::number(r.requests));
+    jsonMember(o, "key", key.str());
+    jsonMember(o, "app", r.app);
+    jsonMember(o, "config", r.config);
+    jsonMember(o, "machine", r.machine);
+    jsonMember(o, "retentionUs", r.retentionUs);
+    jsonMember(o, "ambientC", r.ambientC);
+    jsonMember(o, "maxTempC", r.maxTempC);
+    jsonMember(o, "execTicks", static_cast<double>(r.execTicks));
+    jsonMember(o, "instructions", static_cast<double>(r.instructions));
+    jsonKey(o, "simulated");
+    o += simulated ? "true" : "false";
+    jsonMember(o, "requests", r.requests);
 
     // Always present (zeros for request-less workloads) so consumers
     // can rely on the shape of every row.
-    JsonValue lat = JsonValue::object();
-    lat.set("p50", JsonValue::number(r.reqP50Us));
-    lat.set("p95", JsonValue::number(r.reqP95Us));
-    lat.set("p99", JsonValue::number(r.reqP99Us));
-    o.set("latencyUs", std::move(lat));
+    jsonKey(o, "latencyUs");
+    o += '{';
+    jsonMember(o, "p50", r.reqP50Us);
+    jsonMember(o, "p95", r.reqP95Us);
+    jsonMember(o, "p99", r.reqP99Us);
+    o += '}';
 
-    JsonValue en = JsonValue::object();
-    en.set("l1", JsonValue::number(r.energy.l1));
-    en.set("l2", JsonValue::number(r.energy.l2));
-    en.set("l3", JsonValue::number(r.energy.l3));
-    en.set("dram", JsonValue::number(r.energy.dram));
-    en.set("dynamic", JsonValue::number(r.energy.dynamic));
-    en.set("leakage", JsonValue::number(r.energy.leakage));
-    en.set("refresh", JsonValue::number(r.energy.refresh));
-    en.set("core", JsonValue::number(r.energy.core));
-    en.set("net", JsonValue::number(r.energy.net));
-    o.set("energy", std::move(en));
+    energyMember(o, "energy", r.energy);
 
     // Per-level component matrix (dyn/leak/ref per cache level).
     // Always present: exact for fresh runs, reconstructed by the
     // documented closure for cache reloads (energy_model.hh).
-    JsonValue bd = JsonValue::object();
-    bd.set("l1Dyn", JsonValue::number(r.energy.l1Dyn));
-    bd.set("l1Leak", JsonValue::number(r.energy.l1Leak));
-    bd.set("l1Ref", JsonValue::number(r.energy.l1Ref));
-    bd.set("l2Dyn", JsonValue::number(r.energy.l2Dyn));
-    bd.set("l2Leak", JsonValue::number(r.energy.l2Leak));
-    bd.set("l2Ref", JsonValue::number(r.energy.l2Ref));
-    bd.set("l3Dyn", JsonValue::number(r.energy.l3Dyn));
-    bd.set("l3Leak", JsonValue::number(r.energy.l3Leak));
-    bd.set("l3Ref", JsonValue::number(r.energy.l3Ref));
-    o.set("breakdown", std::move(bd));
+    jsonKey(o, "breakdown");
+    o += '{';
+    jsonMember(o, "l1Dyn", r.energy.l1Dyn);
+    jsonMember(o, "l1Leak", r.energy.l1Leak);
+    jsonMember(o, "l1Ref", r.energy.l1Ref);
+    jsonMember(o, "l2Dyn", r.energy.l2Dyn);
+    jsonMember(o, "l2Leak", r.energy.l2Leak);
+    jsonMember(o, "l2Ref", r.energy.l2Ref);
+    jsonMember(o, "l3Dyn", r.energy.l3Dyn);
+    jsonMember(o, "l3Leak", r.energy.l3Leak);
+    jsonMember(o, "l3Ref", r.energy.l3Ref);
+    o += '}';
 
     // Second-opinion backend, only when the plan selected one — rows
     // of the default model keep their exact legacy shape plus the
     // breakdown above.
     if (r.hasAlt) {
-        JsonValue av = JsonValue::object();
-        av.set("l1", JsonValue::number(r.alt.l1));
-        av.set("l2", JsonValue::number(r.alt.l2));
-        av.set("l3", JsonValue::number(r.alt.l3));
-        av.set("dram", JsonValue::number(r.alt.dram));
-        av.set("dynamic", JsonValue::number(r.alt.dynamic));
-        av.set("leakage", JsonValue::number(r.alt.leakage));
-        av.set("refresh", JsonValue::number(r.alt.refresh));
-        av.set("core", JsonValue::number(r.alt.core));
-        av.set("net", JsonValue::number(r.alt.net));
-        o.set("energyAlt", std::move(av));
-        o.set("disagreement",
-              JsonValue::number(energyDisagreement(r)));
+        energyMember(o, "energyAlt", r.alt);
+        jsonMember(o, "disagreement", energyDisagreement(r));
     }
 
-    JsonValue ct = JsonValue::object();
-    ct.set("dramAccesses",
-           JsonValue::number(static_cast<double>(r.counts.dramAccesses)));
-    ct.set("l3Misses",
-           JsonValue::number(static_cast<double>(r.counts.l3Misses)));
-    ct.set("l3Refreshes",
-           JsonValue::number(static_cast<double>(r.counts.l3Refreshes)));
-    ct.set("refreshWritebacks",
-           JsonValue::number(
-               static_cast<double>(r.counts.refreshWritebacks)));
-    ct.set("refreshInvalidations",
-           JsonValue::number(
-               static_cast<double>(r.counts.refreshInvalidations)));
-    ct.set("decayedHits",
-           JsonValue::number(static_cast<double>(r.counts.decayedHits)));
-    o.set("counts", std::move(ct));
+    const HierarchyCounts &ct = r.counts;
+    jsonKey(o, "counts");
+    o += '{';
+    jsonMember(o, "dramAccesses", static_cast<double>(ct.dramAccesses));
+    jsonMember(o, "l3Misses", static_cast<double>(ct.l3Misses));
+    jsonMember(o, "l3Refreshes", static_cast<double>(ct.l3Refreshes));
+    jsonMember(o, "refreshWritebacks",
+               static_cast<double>(ct.refreshWritebacks));
+    jsonMember(o, "refreshInvalidations",
+               static_cast<double>(ct.refreshInvalidations));
+    jsonMember(o, "decayedHits", static_cast<double>(ct.decayedHits));
+    o += '}';
 
+    jsonKey(o, "normalized");
     if (norm != nullptr) {
-        JsonValue nv = JsonValue::object();
-        nv.set("time", JsonValue::number(norm->time));
-        nv.set("memEnergy", JsonValue::number(norm->memEnergy));
-        nv.set("sysEnergy", JsonValue::number(norm->sysEnergy));
-        nv.set("refresh", JsonValue::number(norm->refresh));
-        o.set("normalized", std::move(nv));
+        o += '{';
+        jsonMember(o, "time", norm->time);
+        jsonMember(o, "memEnergy", norm->memEnergy);
+        jsonMember(o, "sysEnergy", norm->sysEnergy);
+        jsonMember(o, "refresh", norm->refresh);
+        o += '}';
     } else {
-        o.set("normalized", JsonValue::null());
+        o += "null";
     }
+    o += "}\n";
 
-    const std::string line = o.dump(0);
     // A dropped row would silently desynchronize downstream consumers
     // (coordinator merge offsets, salvage line counts), so any write
     // failure — full disk, closed pipe — is fatal here, not deferred.
     // Non-strict sinks (serve) tolerate it; the caller checks ferror().
-    if ((std::fprintf(out_, "%s\n", line.c_str()) < 0 ||
+    if ((std::fwrite(o.data(), 1, o.size(), out_) != o.size() ||
          std::ferror(out_)) &&
         strict_)
         fatal("JSONL row stream write failed at offset %lld "

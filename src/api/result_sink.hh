@@ -111,6 +111,7 @@ class JsonLinesSink : public ResultSink
     std::FILE *out_;
     bool strict_;
     std::string energyTag_; ///< plan's |en= key segment ("" = default)
+    std::string line_;      ///< the row being written, reused per row
 };
 
 /** Human progress ticker on stderr: one line per completed run, plus

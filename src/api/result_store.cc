@@ -1,8 +1,9 @@
 #include "api/result_store.hh"
 
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
+
+#include "api/json.hh"
 
 namespace refrint
 {
@@ -53,15 +54,12 @@ encodeCacheRow(const CacheRow &c)
 {
     std::string out;
     out.reserve(kNumCacheFields * 8);
-    char buf[32];
     const std::size_t fields =
         c.altPresent != 0 ? kNumCacheFields : kNumBaseCacheFields;
     for (std::size_t i = 0; i < fields; ++i) {
-        // %.17g: max_digits10 for double, exact round-trip.
-        std::snprintf(buf, sizeof(buf), "%.17g", c.*kCacheFields[i]);
         if (i)
             out += ',';
-        out += buf;
+        appendJsonNumber(out, c.*kCacheFields[i]); // %.17g, exact
     }
     return out;
 }

@@ -56,7 +56,8 @@ RunResult runFromCacheRow(const std::string &app,
                           const std::string &machine, const CacheRow &c);
 
 /** Serialize a row as the canonical "f0,f1,..." field list (%.17g per
- *  field — exact double round-trip, identical in every store). */
+ *  field through appendJsonNumber — exact double round-trip,
+ *  identical in every store). */
 std::string encodeCacheRow(const CacheRow &c);
 
 /**

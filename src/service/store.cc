@@ -309,7 +309,7 @@ std::map<std::string, CacheRow>
 ShardedStore::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return rows_;
+    return {rows_.begin(), rows_.end()};
 }
 
 // ---------------------------------------------------------------------

@@ -43,6 +43,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "api/result_store.hh"
@@ -93,8 +94,8 @@ class ShardedStore : public ResultStore
     /** Shard file path (for tests and tooling). */
     std::string shardPath(unsigned shard) const;
 
-    /** Copy of every known row (last occurrence per key), for corpus
-     *  walkers like `refrint validate`. */
+    /** Copy of every known row (last occurrence per key) in key
+     *  order, for corpus walkers like `refrint validate`. */
     std::map<std::string, CacheRow> snapshot() const;
 
   private:
@@ -107,7 +108,7 @@ class ShardedStore : public ResultStore
     std::size_t appends_ = 0; ///< appends this instance attempted
                               ///< (the store.* fault-point ordinal)
     mutable std::mutex mu_;
-    std::map<std::string, CacheRow> rows_;
+    std::unordered_map<std::string, CacheRow> rows_; ///< by key, hashed
     std::vector<int> fds_;        ///< per-shard append fd (lazy)
     std::vector<char> dirty_;     ///< shard touched since last flush
 };

@@ -4,16 +4,22 @@
  * and byte-exact legacy (v5/v6) cache-key compatibility, collision
  * freedom across the machine/ambient axes, JSON plan round-trips
  * (load -> dump -> load identity), plan builders reproducing the
- * legacy sweep order, the Session streaming-sink protocol, and the
+ * legacy sweep order, the Session streaming-sink protocol, the exact
+ * bytes of numbers, JSON Lines rows and store rows, and the
  * full-identity SweepResult::find()/average() semantics.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -309,6 +315,148 @@ TEST(JsonTest, RejectsMalformedDocuments)
     EXPECT_FALSE(JsonValue::parse("\"unterminated", v, err));
     EXPECT_FALSE(JsonValue::parse("{} trailing", v, err));
     EXPECT_FALSE(JsonValue::parse("", v, err));
+
+    // A \u escape is exactly four hex digits: no sign, no spaces, no
+    // 0x prefix (each of these once decoded to a character).
+    EXPECT_FALSE(JsonValue::parse("\"\\u+041\"", v, err));
+    EXPECT_FALSE(JsonValue::parse("\"\\u -1a\"", v, err));
+    EXPECT_FALSE(JsonValue::parse("\"\\u0x41\"", v, err));
+    EXPECT_FALSE(JsonValue::parse("\"\\u004\"", v, err));
+
+    // Well-formed escapes still decode, to UTF-8 above ASCII.
+    ASSERT_TRUE(JsonValue::parse("\"\\u0041\"", v, err)) << err;
+    EXPECT_EQ(v.asString(), "A");
+    ASSERT_TRUE(JsonValue::parse("\"\\u00e9\\u00E9\"", v, err)) << err;
+    EXPECT_EQ(v.asString(), "\xC3\xA9\xC3\xA9");
+}
+
+std::string
+printf17g(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+double
+fromBits(std::uint64_t bits)
+{
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
+TEST(JsonTest, NumbersPrintExactlyAsPrintf17g)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 2.5, -0.03, 1e-5, 1e-4,
+        8999999999999999.0, 9e15, 9007199254740992.0,
+        9007199254740994.0, 1e16, 99999999999999999.0, 1e17, 1e17 + 16,
+        1e21, 1e22, 1e300, -1e-300,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        fromBits(0x000fffffffffffffULL), // largest denormal
+        inf, -inf};
+    // Row-like values: tick counts, energies in joules, latencies.
+    for (int i = 0; i < 64; ++i) {
+        values.push_back(std::ldexp(1.0, i));
+        values.push_back(std::pow(10.0, i - 32));
+        values.push_back(std::nextafter(std::pow(10.0, i - 32), inf));
+    }
+    std::mt19937_64 rng(20231);
+    for (int i = 0; i < 1000000; ++i)
+        values.push_back(fromBits(rng()));
+    for (int i = 0; i < 20000; ++i) // integral, some past 2^53
+        values.push_back(static_cast<double>(rng() >> (rng() % 64)));
+
+    std::size_t mismatches = 0;
+    std::string out;
+    for (const double v : values) {
+        const std::string want = printf17g(v);
+        out.assign("x");
+        appendJsonNumber(out, v);
+        if (out != "x" + want || jsonNumber(v) != want) {
+            if (++mismatches <= 5)
+                ADD_FAILURE() << want << " printed as " << out;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
+
+    // The tree dumps numbers through the same formatter.
+    EXPECT_EQ(JsonValue::number(8999999999999999.0).dump(),
+              "8999999999999999");
+    EXPECT_EQ(JsonValue::number(-0.0).dump(), "-0");
+    EXPECT_EQ(JsonValue::number(1e17).dump(), "1e+17");
+    EXPECT_EQ(JsonValue::number(0.1).dump(), "0.10000000000000001");
+}
+
+// ---------------------------------------------------------------------
+// Store row codec
+// ---------------------------------------------------------------------
+
+/** The codec's specification: every field in its documented order,
+ *  each printed with %.17g, the alternate-backend tail only when
+ *  present. */
+std::string
+printfJoin(const CacheRow &c)
+{
+    const std::vector<double> base = {
+        c.execTicks, c.instructions, c.l1, c.l2, c.l3, c.dram,
+        c.dynamic, c.leakage, c.refresh, c.core, c.net, c.dramAccesses,
+        c.l3Misses, c.refreshes3, c.refWbs, c.refInvals, c.decayed,
+        c.ambientC, c.maxTempC, c.requests, c.reqP50Us, c.reqP95Us,
+        c.reqP99Us};
+    const std::vector<double> alt = {
+        c.altPresent, c.altL1, c.altL2, c.altL3, c.altDram,
+        c.altDynamic, c.altLeakage, c.altRefresh, c.altCore, c.altNet};
+    std::string out;
+    for (const double v : base)
+        out += (out.empty() ? "" : ",") + printf17g(v);
+    if (c.altPresent != 0)
+        for (const double v : alt)
+            out += "," + printf17g(v);
+    return out;
+}
+
+/** A finite double of any magnitude, or an integral count. */
+double
+randomField(std::mt19937_64 &rng)
+{
+    for (;;) {
+        const std::uint64_t bits = rng();
+        if (bits % 3 == 0)
+            return static_cast<double>(bits >> 20);
+        const double v = fromBits(bits);
+        if (std::isfinite(v))
+            return v;
+    }
+}
+
+TEST(CacheRowCodecTest, EncodesAsAPrintfJoinAndRoundTrips)
+{
+    std::mt19937_64 rng(7);
+    for (int i = 0; i < 2000; ++i) {
+        CacheRow c{};
+        double *fields = &c.execTicks;
+        const std::size_t n = sizeof(CacheRow) / sizeof(double);
+        const bool alt = i % 2 == 1;
+        for (std::size_t f = 0; f < n; ++f)
+            fields[f] = randomField(rng);
+        c.altPresent = alt ? 1 : 0;
+        if (!alt)
+            c.altL1 = c.altL2 = c.altL3 = c.altDram = c.altDynamic =
+                c.altLeakage = c.altRefresh = c.altCore = c.altNet = 0;
+
+        const std::string text = encodeCacheRow(c);
+        ASSERT_EQ(text, printfJoin(c)) << "row " << i;
+        CacheRow back{};
+        ASSERT_TRUE(decodeCacheRow(text, back)) << text;
+        EXPECT_EQ(std::memcmp(&back, &c, sizeof(c)), 0) << text;
+    }
 }
 
 TEST(ExperimentPlanTest, JsonRoundTripIsIdentity)
@@ -610,6 +758,208 @@ TEST(SessionTest, JsonLinesSinkEmitsOneValidObjectPerRow)
     }
     std::fclose(tmp);
     EXPECT_EQ(rows, plan.size());
+}
+
+/** A JSON Lines row as a JsonValue tree, built field by field: the
+ *  specification JsonLinesSink's direct writer must match byte for
+ *  byte. */
+JsonValue
+referenceRow(const ExperimentPlan &plan, std::size_t index,
+             const RunResult &r, const NormalizedResult *norm,
+             bool simulated)
+{
+    auto num = [](double v) { return JsonValue::number(v); };
+    JsonValue o = JsonValue::object();
+    o.set("plan", JsonValue::string(plan.name));
+    ScenarioKey key = plan.scenarios[index].key();
+    key.energy = energyKeyTag(plan.energy);
+    o.set("key", JsonValue::string(key.str()));
+    o.set("app", JsonValue::string(r.app));
+    o.set("config", JsonValue::string(r.config));
+    o.set("machine", JsonValue::string(r.machine));
+    o.set("retentionUs", num(r.retentionUs));
+    o.set("ambientC", num(r.ambientC));
+    o.set("maxTempC", num(r.maxTempC));
+    o.set("execTicks", num(static_cast<double>(r.execTicks)));
+    o.set("instructions", num(static_cast<double>(r.instructions)));
+    o.set("simulated", JsonValue::boolean(simulated));
+    o.set("requests", num(r.requests));
+
+    JsonValue lat = JsonValue::object();
+    lat.set("p50", num(r.reqP50Us));
+    lat.set("p95", num(r.reqP95Us));
+    lat.set("p99", num(r.reqP99Us));
+    o.set("latencyUs", std::move(lat));
+
+    auto energy = [&](const EnergyBreakdown &e) {
+        JsonValue en = JsonValue::object();
+        en.set("l1", num(e.l1));
+        en.set("l2", num(e.l2));
+        en.set("l3", num(e.l3));
+        en.set("dram", num(e.dram));
+        en.set("dynamic", num(e.dynamic));
+        en.set("leakage", num(e.leakage));
+        en.set("refresh", num(e.refresh));
+        en.set("core", num(e.core));
+        en.set("net", num(e.net));
+        return en;
+    };
+    o.set("energy", energy(r.energy));
+
+    JsonValue bd = JsonValue::object();
+    bd.set("l1Dyn", num(r.energy.l1Dyn));
+    bd.set("l1Leak", num(r.energy.l1Leak));
+    bd.set("l1Ref", num(r.energy.l1Ref));
+    bd.set("l2Dyn", num(r.energy.l2Dyn));
+    bd.set("l2Leak", num(r.energy.l2Leak));
+    bd.set("l2Ref", num(r.energy.l2Ref));
+    bd.set("l3Dyn", num(r.energy.l3Dyn));
+    bd.set("l3Leak", num(r.energy.l3Leak));
+    bd.set("l3Ref", num(r.energy.l3Ref));
+    o.set("breakdown", std::move(bd));
+
+    if (r.hasAlt) {
+        o.set("energyAlt", energy(r.alt));
+        o.set("disagreement", num(energyDisagreement(r)));
+    }
+
+    JsonValue ct = JsonValue::object();
+    ct.set("dramAccesses", num(static_cast<double>(r.counts.dramAccesses)));
+    ct.set("l3Misses", num(static_cast<double>(r.counts.l3Misses)));
+    ct.set("l3Refreshes", num(static_cast<double>(r.counts.l3Refreshes)));
+    ct.set("refreshWritebacks",
+           num(static_cast<double>(r.counts.refreshWritebacks)));
+    ct.set("refreshInvalidations",
+           num(static_cast<double>(r.counts.refreshInvalidations)));
+    ct.set("decayedHits", num(static_cast<double>(r.counts.decayedHits)));
+    o.set("counts", std::move(ct));
+
+    if (norm != nullptr) {
+        JsonValue nv = JsonValue::object();
+        nv.set("time", num(norm->time));
+        nv.set("memEnergy", num(norm->memEnergy));
+        nv.set("sysEnergy", num(norm->sysEnergy));
+        nv.set("refresh", num(norm->refresh));
+        o.set("normalized", std::move(nv));
+    } else {
+        o.set("normalized", JsonValue::null());
+    }
+    return o;
+}
+
+TEST(SessionTest, JsonLinesRowsMatchTheirJsonValueTree)
+{
+    // Strings with quotes, backslashes and control bytes, everywhere a
+    // row carries text.
+    const std::string odd = "a\"b\\c\x01\x1f\t\n\x7f\xC3\xA9";
+    std::mt19937_64 rng(42);
+    auto number = [&]() {
+        const std::uint64_t bits = rng();
+        switch (bits % 4) {
+          case 0: // a count
+            return static_cast<double>(bits >> 24);
+          case 1: // an energy in joules, full 53-bit mantissa
+            return std::ldexp(static_cast<double>(bits >> 11),
+                              -53 - static_cast<int>(bits % 40));
+          case 2:
+            return 0.0;
+          default:
+            return static_cast<double>(bits % 1000) + 0.125;
+        }
+    };
+
+    for (const bool defaultEnergy : {true, false}) {
+        ExperimentPlan plan;
+        plan.name = "rows " + odd;
+        if (!defaultEnergy)
+            plan.energy.eL3Access *= 100.0; // a non-default |en= tag
+        const int b = plan.addBaseline(edramScenario("fft", "SRAM", 0.0));
+        plan.add(edramScenario("fft", "P.all", 50.0), b);
+        plan.add(edramScenario(odd.c_str(), "R.WB(32,32)", 50.0, 85.0, 32),
+                 b);
+        plan.add(edramScenario("lu", "P.dirty", 50.0, 0.0, 16, true), b);
+        ASSERT_EQ(defaultEnergy, energyKeyTag(plan.energy).empty());
+
+        std::FILE *tmp = std::tmpfile();
+        ASSERT_NE(tmp, nullptr);
+        JsonLinesSink sink(tmp);
+        sink.begin(plan);
+        std::vector<std::string> want;
+        for (int round = 0; round < 50; ++round) {
+            for (std::size_t i = 0; i < plan.size(); ++i) {
+                RunResult r;
+                r.app = round % 2 ? odd : plan.scenarios[i].app;
+                r.config = round % 3 ? plan.scenarios[i].config : odd;
+                r.machine = round % 5 ? "" : odd;
+                r.retentionUs = number();
+                r.ambientC = number();
+                r.maxTempC = number();
+                r.execTicks = static_cast<Tick>(rng() >> 12);
+                r.instructions = rng() >> 12;
+                r.requests = number();
+                r.reqP50Us = number();
+                r.reqP95Us = number();
+                r.reqP99Us = number();
+                for (EnergyBreakdown *e : {&r.energy, &r.alt}) {
+                    e->l1 = number();
+                    e->l2 = number();
+                    e->l3 = number();
+                    e->dram = number();
+                    e->dynamic = number();
+                    e->leakage = number();
+                    e->refresh = number();
+                    e->core = number();
+                    e->net = number();
+                    e->l1Dyn = number();
+                    e->l1Leak = number();
+                    e->l1Ref = number();
+                    e->l2Dyn = number();
+                    e->l2Leak = number();
+                    e->l2Ref = number();
+                    e->l3Dyn = number();
+                    e->l3Leak = number();
+                    e->l3Ref = number();
+                }
+                r.hasAlt = (round + i) % 2 == 1;
+                r.counts.dramAccesses = rng() >> 20;
+                r.counts.l3Misses = rng() >> 20;
+                r.counts.l3Refreshes = rng() >> 20;
+                r.counts.refreshWritebacks = rng() >> 20;
+                r.counts.refreshInvalidations = rng() >> 20;
+                r.counts.decayedHits = rng() % 3;
+                NormalizedResult n;
+                n.time = number();
+                n.memEnergy = number();
+                n.sysEnergy = number();
+                n.refresh = number();
+                const NormalizedResult *norm =
+                    plan.baseline[i] < 0 || round % 7 == 0 ? nullptr : &n;
+                const bool simulated = round % 2 == 0;
+
+                sink.consume(plan, i, r, norm, simulated);
+                want.push_back(
+                    referenceRow(plan, i, r, norm, simulated).dump(0) +
+                    "\n");
+            }
+        }
+
+        std::rewind(tmp);
+        std::string got;
+        char buf[4096];
+        std::size_t n;
+        while ((n = std::fread(buf, 1, sizeof(buf), tmp)) > 0)
+            got.append(buf, n);
+        std::fclose(tmp);
+
+        std::size_t pos = 0;
+        for (std::size_t k = 0; k < want.size(); ++k) {
+            ASSERT_EQ(got.compare(pos, want[k].size(), want[k]), 0)
+                << "row " << k << "\nwant " << want[k] << "got  "
+                << got.substr(pos, want[k].size());
+            pos += want[k].size();
+        }
+        EXPECT_EQ(pos, got.size());
+    }
 }
 
 TEST(SessionTest, CsvSinkQuotesCommaBearingConfigNames)

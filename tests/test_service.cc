@@ -255,6 +255,30 @@ TEST(ShardedStoreTest, InsertLookupAndReopen)
     }
     CacheRow c{};
     EXPECT_FALSE(store.lookup("no-such-key", c));
+
+    // A re-simulated key is appended again; the last row wins, in
+    // memory and when the shard is read back.
+    store.insert("key-7", makeRow(107.0));
+    store.insert("key-7", makeRow(207.0));
+    EXPECT_EQ(store.rowCount(), 40u);
+    ASSERT_TRUE(store.lookup("key-7", c));
+    EXPECT_TRUE(sameRow(c, makeRow(207.0)));
+    ShardedStore reopened(storeDir);
+    EXPECT_EQ(reopened.rowCount(), 40u);
+    ASSERT_TRUE(reopened.lookup("key-7", c));
+    EXPECT_TRUE(sameRow(c, makeRow(207.0)));
+
+    // snapshot() lists every key once, in ascending order, whatever
+    // the index's own order.
+    std::vector<std::string> keys;
+    for (const auto &[key, row] : reopened.snapshot()) {
+        keys.push_back(key);
+        ASSERT_TRUE(reopened.lookup(key, c));
+        EXPECT_TRUE(sameRow(c, row)) << key;
+    }
+    ASSERT_EQ(keys.size(), 40u);
+    for (std::size_t i = 1; i < keys.size(); ++i)
+        EXPECT_LT(keys[i - 1], keys[i]);
 }
 
 TEST(ShardedStoreTest, TornTailIsIgnoredCommittedRowsSurvive)
