@@ -409,14 +409,6 @@ ExperimentPlan::paperSweep()
 }
 
 ExperimentPlan
-ExperimentPlan::figures()
-{
-    ExperimentPlan plan = fromSweepSpec(SweepSpec{});
-    plan.name = "figures";
-    return plan;
-}
-
-ExperimentPlan
 ExperimentPlan::thermalStudy(const std::string &app, double retentionUs,
                              const std::vector<double> &ambients,
                              const SimParams &sim,
@@ -436,14 +428,6 @@ ExperimentPlan::thermalStudy(const std::string &app, double retentionUs,
     spec.machines = machines;
     ExperimentPlan plan = fromSweepSpec(std::move(spec));
     plan.name = "thermal-study";
-    return plan;
-}
-
-ExperimentPlan
-ExperimentPlan::binning()
-{
-    ExperimentPlan plan;
-    plan.name = "binning";
     return plan;
 }
 

@@ -84,10 +84,6 @@ struct ExperimentPlan
     /** The paper's full Table 5.4 sweep (473 runs at paper scale). */
     static ExperimentPlan paperSweep();
 
-    /** Scenario set behind Figs. 6.1-6.4 + the headline table (the
-     *  same grid as paperSweep; figures are a reporting choice). */
-    static ExperimentPlan figures();
-
     /**
      * The ambient-temperature study: the headline policy pair
      * (P.all, R.WB(32,32)) at @p retentionUs for @p app, once per
@@ -99,10 +95,6 @@ struct ExperimentPlan
                                        const SimParams &sim = {},
                                        const std::vector<MachineAxis>
                                            &machines = {});
-
-    /** The Table 6.1 classification: no simulations of its own (the
-     *  binning harness measures directly); pairs with BinningSink. */
-    static ExperimentPlan binning();
 
     bool operator==(const ExperimentPlan &o) const;
     bool operator!=(const ExperimentPlan &o) const { return !(*this == o); }

@@ -17,9 +17,9 @@
  * null for baseline rows and for rows whose baseline is degenerate;
  * @p simulated tells a fresh simulation from a cache hit.
  *
- * The console report, CSV, and JSON Lines writers here — plus the
- * figure/headline/thermal renderers in harness/report.hh — are all
- * implementations of this one interface.
+ * The CSV, JSON Lines and progress writers here implement it.  The
+ * paper's tables and figures are not sinks: they are printers
+ * (harness/report.hh) over the SweepResult that Session::run returns.
  */
 
 #ifndef REFRINT_API_RESULT_SINK_HH

@@ -243,15 +243,15 @@ printHeadline(const SweepResult &s, std::FILE *out)
 }
 
 void
-FiguresSink::end(const ExperimentPlan &, const SweepResult &s)
+printFigures(const SweepResult &s, std::FILE *out)
 {
-    printFig61(s, out_);
+    printFig61(s, out);
     for (int cls : {1, 2, 3, 0})
-        printFig62(s, cls, out_);
-    printFig63(s, 1, out_);
-    printFig63(s, 0, out_);
-    printFig64(s, 1, out_);
-    printFig64(s, 0, out_);
+        printFig62(s, cls, out);
+    printFig63(s, 1, out);
+    printFig63(s, 0, out);
+    printFig64(s, 1, out);
+    printFig64(s, 0, out);
 }
 
 void

@@ -3,9 +3,16 @@
  * refrint_cli — command-line front end for the Refrint simulator.
  *
  * Every subcommand is a thin plan-builder over the experiment API
- * (src/api/): it assembles an ExperimentPlan, picks the result sinks,
- * and hands both to a Session.  `refrint_cli help` lists the
+ * (src/api/): it assembles an ExperimentPlan, runs it through a
+ * Session, and prints the report (harness/report.hh) over the
+ * SweepResult that comes back.  `refrint_cli help` lists the
  * subcommands, `refrint_cli help <cmd>` shows one in detail.
+ *
+ * One table declares every flag: its parse rule, whether it shapes the
+ * built-in grid, and its help line.  Each command lists the flags it
+ * reads, and the parser, `help <cmd>` and the usage errors all come
+ * from those lists: a flag a command does not list is a usage error,
+ * never a silent ignore.
  *
  * Exit codes: 0 success, 1 runtime error (unknown app, unreadable
  * file, impossible configuration), 2 usage error (bad flags or
@@ -16,10 +23,10 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <unistd.h>
@@ -29,9 +36,7 @@
 #include "api/session.hh"
 #include "common/env.hh"
 #include "edram/retention.hh"
-#include "harness/binning.hh"
 #include "harness/report.hh"
-#include "harness/sweep.hh"
 #include "service/coordinator.hh"
 #include "service/serve.hh"
 #include "service/store.hh"
@@ -46,25 +51,26 @@ namespace
 
 using namespace refrint;
 
+struct Flag;
+
+/** Every flag's value; a command reads only the flags it lists. */
 struct Args
 {
-    std::string app = "fft";
-
-    /** Every --app given, in order: sweep/figures use the full list to
-     *  replace the paper-app axis (single-app commands use .app). */
+    /** Every --app given, in order: sweep/figures replace the paper-app
+     *  axis with the list, the single-app commands take one. */
     std::vector<std::string> apps;
     std::string policy = "R.WB(32,32)";
     double retentionUs = 50.0;
     std::uint64_t refs = 120'000;
     std::uint64_t seed = 1;
-    std::uint32_t cores = 16; ///< machine scale (4..64)
+    std::uint64_t cores = 16; ///< machine scale (4..64)
     bool hybrid = false;      ///< SRAM L1/L2 over the eDRAM LLC
-    unsigned jobs = 0; ///< sweep workers; 0 = $REFRINT_JOBS or serial
+    std::uint64_t jobs = 0; ///< worker threads; 0 = $REFRINT_JOBS or 1
     bool sram = false;
     bool alt = false;  ///< run the alternate energy backend alongside
     bool verbose = false; ///< validate: list every finding
     bool progress = false; ///< per-run progress ticker on stderr
-    double decayUs = 0.0;
+    double decayUs = 0.0;  ///< 0 = no cache decay
     double ambientC = 0.0; ///< 0 = thermal subsystem off
     std::string ambients = "45,65,85"; ///< thermal-study axis
     std::string store; ///< sharded result store dir; "" = persist nothing
@@ -72,81 +78,195 @@ struct Args
     std::string jsonl; ///< JSON Lines result sink ("-" = stdout)
     std::string csv;   ///< CSV result sink ("-" = stdout)
     std::string in, out;
-    unsigned workers = 0;   ///< sweep: shard the plan across N workers
-    unsigned retries = 1;   ///< sweep --workers: extra attempts/range
-    double workerTimeout = 0; ///< sweep --workers: no-progress deadline
-    bool sync = false;      ///< --store: fdatasync every append
-    bool repair = false;    ///< cache scrub: quarantine + rebuild
-    std::string range;      ///< worker: scenario index range "A:B"
-    std::string socket;     ///< serve/submit: unix socket path
-    unsigned port = 0;      ///< serve/submit: TCP port on 127.0.0.1
-    unsigned maxQueue = 16; ///< serve: pending-connection bound
+    std::uint64_t workers = 0; ///< sweep: shard the plan across N workers
+    std::uint64_t retries = 1; ///< sweep --workers: extra attempts/range
+    double workerTimeout = 0;  ///< sweep --workers: no-progress deadline
+    bool sync = false;         ///< --store: fdatasync every append
+    bool repair = false;       ///< cache scrub: quarantine + rebuild
+    std::string range;         ///< worker: scenario index range "A:B"
+    std::string socket;        ///< serve/submit: unix socket path
+    std::uint64_t port = 0;    ///< serve/submit: TCP port on 127.0.0.1
+    std::uint64_t maxQueue = 16; ///< serve: pending-connection bound
     double requestTimeout = 0; ///< serve: per-plan wall deadline
     double idleTimeout = 0;    ///< serve: silent-client read timeout
 
     /** Non-flag tokens, e.g. the "dump" in `plan dump`. */
     std::vector<std::string> positional;
 
-    /** Grid-shaping flags actually given on the command line; a plan
-     *  file replaces the built-in grid, so combining them with --plan
-     *  is a usage error rather than a silent ignore. */
-    std::vector<std::string> gridFlags;
+    /** The flags given on the command line, in order. */
+    std::vector<const Flag *> given;
+
+    /** The single-app commands' workload. */
+    std::string
+    app() const
+    {
+        return apps.empty() ? "fft" : apps.front();
+    }
+};
+
+/**
+ * One command-line flag.  Its parse rule follows the type of the Args
+ * member it sets: a switch (bool), a string (collected into a list for
+ * --app), an integer in [lo, hi], or a positive finite number.
+ */
+struct Flag
+{
+    const char *name;
+    const char *meta; ///< value placeholder in help; "" for a switch
+    std::variant<bool Args::*, std::string Args::*,
+                 std::vector<std::string> Args::*, std::uint64_t Args::*,
+                 double Args::*>
+        target;
+    bool grid;        ///< shapes the built-in grid (conflicts with --plan)
+    const char *help; ///< a '\n' continues it on the next help line
+    std::uint64_t lo = 0, hi = 0; ///< integer flags: the accepted range
+};
+
+constexpr bool kGrid = true;
+constexpr bool kNotGrid = false;
+constexpr std::uint64_t kAnyU64 = ~std::uint64_t{0};
+
+const Flag kFlags[] = {
+    {"--plan", "FILE", &Args::plan, kNotGrid,
+     "run a JSON experiment plan instead of the built-in\n"
+     "grid (see 'plan dump')"},
+    {"--app", "SPEC", &Args::apps, kGrid,
+     "workload name or method spec (see 'list'; default\n"
+     "fft); repeated, it replaces the paper-app axis"},
+    {"--in", "FILE", &Args::in, kNotGrid,
+     "the trace to run, or the legacy CSV cache to import"},
+    {"--policy", "P", &Args::policy, kNotGrid,
+     "refresh policy (default R.WB(32,32); see 'list')"},
+    {"--retention", "US", &Args::retentionUs, kGrid,
+     "eDRAM retention in us (default 50)"},
+    {"--ambients", "LIST", &Args::ambients, kGrid,
+     "comma-separated ambients in deg C (default 45,65,85)"},
+    {"--refs", "N", &Args::refs, kGrid,
+     "references per core (default 120000)", 0, kAnyU64},
+    {"--seed", "S", &Args::seed, kGrid, "PRNG seed (default 1)", 0,
+     kAnyU64},
+    {"--cores", "N", &Args::cores, kGrid,
+     "scale the machine to N cores (default 16)", 4, 64},
+    {"--hybrid", "", &Args::hybrid, kGrid,
+     "SRAM L1/L2 over the eDRAM LLC"},
+    {"--sram", "", &Args::sram, kNotGrid, "run the all-SRAM machine"},
+    {"--alt", "", &Args::alt, kNotGrid,
+     "also run the alternate energy backend; rows gain\n"
+     "both estimates and their disagreement"},
+    {"--decay", "US", &Args::decayUs, kNotGrid,
+     "SRAM cache-decay comparator interval (needs --sram)"},
+    {"--ambient", "C", &Args::ambientC, kNotGrid,
+     "enable the thermal subsystem at C deg C"},
+    {"--workers", "N", &Args::workers, kNotGrid,
+     "shard the plan across N worker subprocesses (needs\n"
+     "--jsonl; rows byte-identical to --jobs 1)", 1, 256},
+    {"--retries", "N", &Args::retries, kNotGrid,
+     "extra attempts per range after a worker crash or\n"
+     "hang, salvaging its flushed rows (default 1)", 0, 100},
+    {"--worker-timeout", "SEC", &Args::workerTimeout, kNotGrid,
+     "kill a worker with no new row for SEC s (default off)"},
+    {"--jsonl", "FILE", &Args::jsonl, kNotGrid,
+     "one JSON object per run; \"-\" streams to stdout and\n"
+     "replaces the default report"},
+    {"--csv", "FILE", &Args::csv, kNotGrid,
+     "one CSV row per run (\"-\" as for --jsonl)"},
+    {"--progress", "", &Args::progress, kNotGrid,
+     "per-run progress ticker on stderr"},
+    {"--store", "DIR", &Args::store, kNotGrid,
+     "the sharded result store rows are read from and\n"
+     "appended to (default none: nothing persists)"},
+    {"--sync", "", &Args::sync, kNotGrid,
+     "fdatasync every store append (needs --store)"},
+    {"--jobs", "N", &Args::jobs, kNotGrid,
+     "worker threads (default $REFRINT_JOBS, else 1)", 1, 4096},
+    {"--range", "A:B", &Args::range, kNotGrid,
+     "scenario indices to run, A inclusive to B exclusive"},
+    {"--socket", "PATH", &Args::socket, kNotGrid, "a unix socket path"},
+    {"--port", "N", &Args::port, kNotGrid, "a TCP port on 127.0.0.1", 1,
+     65535},
+    {"--max-queue", "N", &Args::maxQueue, kNotGrid,
+     "pending-connection bound (default 16); a full queue\n"
+     "sheds new connections with {\"error\":\"overloaded\"}", 1,
+     4096},
+    {"--request-timeout", "SEC", &Args::requestTimeout, kNotGrid,
+     "per-plan wall deadline; later scenarios are dropped\n"
+     "and the response ends with an error line"},
+    {"--idle-timeout", "SEC", &Args::idleTimeout, kNotGrid,
+     "close a connection idle for SEC s (default off)"},
+    {"--repair", "", &Args::repair, kNotGrid,
+     "quarantine damaged lines to shard-NNN.bad and\n"
+     "rebuild each shard from its valid rows"},
+    {"--out", "FILE", &Args::out, kNotGrid,
+     "the dumped plan (default stdout), the recorded trace,\n"
+     "or validate's JSON report"},
+    {"--verbose", "", &Args::verbose, kNotGrid,
+     "list every finding, not just the summary"},
 };
 
 struct Command
 {
     const char *name;
     const char *summary; ///< one line for the command index
-    const char *usage;   ///< synopsis + options for `help <cmd>`
+    /** The flags it reads, space-separated, in help order; "--app..."
+     *  takes --app repeatedly. */
+    const char *flags;
+    unsigned positionals; ///< how many bare arguments it takes at most
+    const char *usage;    ///< synopsis and notes for `help <cmd>`
     int (*run)(const Args &);
-    bool runsPlans = false; ///< accepts the shared sink/store flags
-    bool usesPlan = false;  ///< accepts --plan without the sink flags
-                            ///< (worker, submit)
-    bool opensStore = false; ///< accepts --store without the sink
-                             ///< flags (worker, serve, cache,
-                             ///< validate)
 };
 
-/** Flags shared by every plan-running command. */
-const char kCommonSinkHelp[] =
-    "\nshared sink/store options:\n"
-    "  --jsonl FILE     stream one JSON object per run; \"-\" streams\n"
-    "                   to stdout and replaces the default report\n"
-    "  --csv FILE       stream one CSV row per run (\"-\" as above)\n"
-    "  --progress       per-run progress ticker on stderr\n"
-    "  --store DIR      persist results in this sharded store (crash-\n"
-    "                   and multi-process-safe; a rerun is warm);\n"
-    "                   without it nothing is persisted\n"
-    "  --sync           fdatasync every store append (power-loss\n"
-    "                   durability per row; needs --store)\n"
-    "  --jobs N         worker threads (default $REFRINT_JOBS or 1)\n";
+const Command *findCommand(const std::string &name); // table below
+void printCommandIndex(std::FILE *out);
+
+/** True when @p c lists flag @p name; with @p repeated, only when it
+ *  lists it as repeatable ("--app..."). */
+bool
+takes(const Command &c, const std::string &name, bool repeated = false)
+{
+    std::istringstream list(c.flags);
+    for (std::string f; list >> f;)
+        if (f == name + "..." || (!repeated && f == name))
+            return true;
+    return false;
+}
+
+const Flag *
+findFlag(const std::string &name)
+{
+    for (const Flag &f : kFlags)
+        if (name == f.name)
+            return &f;
+    return nullptr;
+}
 
 void
 printCommandHelp(const Command &c, std::FILE *out)
 {
     std::fputs(c.usage, out);
-    if (c.runsPlans)
-        std::fputs(kCommonSinkHelp, out);
+    if (*c.flags != '\0')
+        std::fputs("\noptions:\n", out);
+    std::istringstream list(c.flags);
+    for (std::string entry; list >> entry;) {
+        const std::size_t dots = entry.find("...");
+        const Flag *f = findFlag(entry.substr(0, dots));
+        if (f == nullptr)
+            panic("command '%s' lists unknown flag '%s'", c.name,
+                  entry.c_str());
+        std::string head = f->name;
+        if (*f->meta != '\0')
+            head = head + " " + f->meta;
+        if (dots != std::string::npos)
+            head += "...";
+        std::string help = f->help;
+        for (std::size_t i = help.find('\n'); i != std::string::npos;
+             i = help.find('\n', i + 1))
+            help.insert(i + 1, 24, ' ');
+        std::fprintf(out, "  %-21s %s\n", head.c_str(), help.c_str());
+    }
 }
-
-const Command *commandIndex();       // forward (table below)
-const Command *findCommand(const std::string &name);
-std::size_t commandCount();
 
 /** The command being parsed/executed, for pointed usage errors. */
 const Command *gActive = nullptr;
-
-void
-printCommandIndex(std::FILE *out)
-{
-    std::fprintf(out, "usage: refrint_cli <command> [options]\n\n"
-                      "commands:\n");
-    const Command *cmds = commandIndex();
-    for (std::size_t i = 0; i < commandCount(); ++i)
-        std::fprintf(out, "  %-14s %s\n", cmds[i].name, cmds[i].summary);
-    std::fprintf(out, "\nsee 'refrint_cli help <command>' for options "
-                      "and examples.\n");
-}
 
 /** Report a usage error for the active command and exit 2. */
 [[noreturn]] void
@@ -156,205 +276,81 @@ usageError(const char *fmt, ...)
     va_start(ap, fmt);
     std::vfprintf(stderr, fmt, ap);
     va_end(ap);
-    std::fputc('\n', stderr);
-    if (gActive != nullptr) {
-        std::fputc('\n', stderr);
-        printCommandHelp(*gActive, stderr);
-    } else {
-        printCommandIndex(stderr);
-    }
+    std::fputs("\n\n", stderr);
+    printCommandHelp(*gActive, stderr);
     std::exit(2);
 }
 
-/** Strict decimal integer argument, or exit with a pointed message. */
-std::uint64_t
-argU64(const char *flag, const char *v)
-{
-    std::uint64_t out = 0;
-    if (!parseU64Strict(v, out))
-        usageError("%s wants a plain decimal integer, got '%s'", flag,
-                   v);
-    return out;
-}
-
-/** Strict finite floating-point argument, or exit with a message. */
-double
-argF64(const char *flag, const char *v)
-{
-    double out = 0;
-    if (!parseF64Strict(v, out))
-        usageError("%s wants a finite number, got '%s'", flag, v);
-    return out;
-}
-
+/** Parse @p cmd's command line.  A flag @p cmd does not list, a second
+ *  --app where it takes one, a malformed value, a stray argument and a
+ *  grid flag beside --plan are all usage errors. */
 Args
-parseArgs(int argc, char **argv, int first)
+parseArgs(const Command &cmd, int argc, char **argv)
 {
     Args a;
-    for (int i = first; i < argc; ++i) {
+    for (int i = 2; i < argc; ++i) {
         const std::string k = argv[i];
-        auto val = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usageError("%s needs a value", k.c_str());
-            return argv[++i];
-        };
-        if (!k.empty() && k[0] != '-') {
+        if (k.empty() || k[0] != '-') {
+            if (a.positional.size() == cmd.positionals)
+                usageError("%s: unexpected argument '%s'", cmd.name,
+                           k.c_str());
             a.positional.push_back(k);
             continue;
         }
-        if (k == "--app" || k == "--retention" || k == "--refs" ||
-            k == "--seed" || k == "--cores" || k == "--hybrid" ||
-            k == "--ambients")
-            a.gridFlags.push_back(k);
-        // The plan, sink and store flags mean something only to the
-        // commands that use them; anywhere else they would be silently
-        // ignored.
-        if (k == "--plan" && (gActive == nullptr ||
-                              !(gActive->runsPlans || gActive->usesPlan)))
-            usageError("%s applies only to the commands that run or "
-                       "ship plans (sweep, figures, thermal-study, "
-                       "worker, submit)",
-                       k.c_str());
-        if ((k == "--jsonl" || k == "--csv" || k == "--progress") &&
-            (gActive == nullptr || !gActive->runsPlans))
-            usageError("%s applies only to the plan-running commands "
-                       "(sweep, figures, thermal-study)",
-                       k.c_str());
-        if (k == "--store" &&
-            (gActive == nullptr ||
-             !(gActive->runsPlans || gActive->opensStore)))
-            usageError("--store applies only to the commands that open "
-                       "a result store (sweep, figures, thermal-study, "
-                       "worker, serve, cache, validate)");
-        if (k == "--sync" && (gActive == nullptr || !gActive->runsPlans))
-            usageError("--sync applies only to the plan-running commands "
-                       "(sweep, figures, thermal-study)");
-        if (k == "--app") {
-            a.app = val();
-            a.apps.push_back(a.app);
+        const Flag *f = takes(cmd, k) ? findFlag(k) : nullptr;
+        if (f == nullptr)
+            usageError("%s does not take %s", cmd.name, k.c_str());
+        a.given.push_back(f);
+        if (const auto *on = std::get_if<bool Args::*>(&f->target)) {
+            a.*(*on) = true;
+            continue;
         }
-        else if (k == "--policy")
-            a.policy = val();
-        else if (k == "--retention") {
-            a.retentionUs = argF64("--retention", val());
-            if (a.retentionUs <= 0)
-                usageError("--retention must be positive");
+        if (i + 1 >= argc)
+            usageError("%s needs a value", f->name);
+        const char *v = argv[++i];
+        if (const auto *s = std::get_if<std::string Args::*>(&f->target)) {
+            a.*(*s) = v;
+        } else if (const auto *list =
+                       std::get_if<std::vector<std::string> Args::*>(
+                           &f->target)) {
+            (a.*(*list)).push_back(v);
+            if ((a.*(*list)).size() > 1 && !takes(cmd, k, true))
+                usageError("%s takes one %s", cmd.name, f->name);
+        } else if (const auto *u =
+                       std::get_if<std::uint64_t Args::*>(&f->target)) {
+            std::uint64_t n = 0;
+            if (!parseU64Strict(v, n) || n < f->lo || n > f->hi)
+                usageError("%s wants a decimal integer in [%llu, %llu], "
+                           "got '%s'",
+                           f->name, static_cast<unsigned long long>(f->lo),
+                           static_cast<unsigned long long>(f->hi), v);
+            a.*(*u) = n;
+        } else {
+            double x = 0;
+            if (!parseF64Strict(v, x) || !(x > 0))
+                usageError("%s wants a finite number > 0, got '%s'",
+                           f->name, v);
+            a.*std::get<double Args::*>(f->target) = x;
         }
-        else if (k == "--refs")
-            a.refs = argU64("--refs", val());
-        else if (k == "--seed")
-            a.seed = argU64("--seed", val());
-        else if (k == "--jobs") {
-            const std::uint64_t n = argU64("--jobs", val());
-            if (n == 0 || n > 4096)
-                usageError("--jobs wants an integer in [1, 4096]");
-            a.jobs = static_cast<unsigned>(n);
-        }
-        else if (k == "--cores") {
-            const std::uint64_t n = argU64("--cores", val());
-            if (n < 4 || n > 64)
-                usageError("--cores wants an integer in [4, 64]");
-            a.cores = static_cast<std::uint32_t>(n);
-        }
-        else if (k == "--hybrid")
-            a.hybrid = true;
-        else if (k == "--sram")
-            a.sram = true;
-        else if (k == "--alt")
-            a.alt = true;
-        else if (k == "--verbose")
-            a.verbose = true;
-        else if (k == "--progress")
-            a.progress = true;
-        else if (k == "--decay")
-            a.decayUs = argF64("--decay", val());
-        else if (k == "--ambient") {
-            a.ambientC = argF64("--ambient", val());
-            if (a.ambientC <= 0)
-                usageError("--ambient wants a temperature in deg C "
-                           "(> 0)");
-            const ThermalResponse resp{};
-            if (a.ambientC < resp.minAmbientC() ||
-                a.ambientC > resp.maxAmbientC())
-                usageError("--ambient %g is outside the thermal "
-                           "response's resolvable range [%g, %g] deg C",
-                           a.ambientC, resp.minAmbientC(),
-                           resp.maxAmbientC());
-        }
-        else if (k == "--ambients")
-            a.ambients = val();
-        else if (k == "--store")
-            a.store = val();
-        else if (k == "--workers") {
-            const std::uint64_t n = argU64("--workers", val());
-            if (n == 0 || n > 256)
-                usageError("--workers wants an integer in [1, 256]");
-            a.workers = static_cast<unsigned>(n);
-        }
-        else if (k == "--retries") {
-            const std::uint64_t n = argU64("--retries", val());
-            if (n > 100)
-                usageError("--retries wants an integer in [0, 100]");
-            a.retries = static_cast<unsigned>(n);
-        }
-        else if (k == "--worker-timeout") {
-            a.workerTimeout = argF64("--worker-timeout", val());
-            if (a.workerTimeout <= 0)
-                usageError("--worker-timeout wants seconds > 0");
-        }
-        else if (k == "--sync")
-            a.sync = true;
-        else if (k == "--repair")
-            a.repair = true;
-        else if (k == "--max-queue") {
-            const std::uint64_t n = argU64("--max-queue", val());
-            if (n == 0 || n > 4096)
-                usageError("--max-queue wants an integer in [1, 4096]");
-            a.maxQueue = static_cast<unsigned>(n);
-        }
-        else if (k == "--request-timeout") {
-            a.requestTimeout = argF64("--request-timeout", val());
-            if (a.requestTimeout <= 0)
-                usageError("--request-timeout wants seconds > 0");
-        }
-        else if (k == "--idle-timeout") {
-            a.idleTimeout = argF64("--idle-timeout", val());
-            if (a.idleTimeout <= 0)
-                usageError("--idle-timeout wants seconds > 0");
-        }
-        else if (k == "--range")
-            a.range = val();
-        else if (k == "--socket")
-            a.socket = val();
-        else if (k == "--port") {
-            const std::uint64_t n = argU64("--port", val());
-            if (n == 0 || n > 65535)
-                usageError("--port wants an integer in [1, 65535]");
-            a.port = static_cast<unsigned>(n);
-        }
-        else if (k == "--plan")
-            a.plan = val();
-        else if (k == "--jsonl")
-            a.jsonl = val();
-        else if (k == "--csv")
-            a.csv = val();
-        else if (k == "--in")
-            a.in = val();
-        else if (k == "--out")
-            a.out = val();
-        else
-            usageError("unknown option '%s'", k.c_str());
     }
-    if (a.sram && a.hybrid)
-        usageError("--hybrid builds SRAM L1/L2 over an eDRAM LLC; "
-                   "drop --sram");
-    if (a.sram && a.ambientC > 0.0)
-        usageError("--ambient needs an eDRAM machine; drop --sram "
-                   "(SRAM retention is unlimited)");
-    if (a.decayUs > 0.0 && a.ambientC > 0.0)
-        usageError("--decay (SRAM cache-decay comparator) and "
-                   "--ambient (eDRAM thermal) are mutually exclusive");
+    if (!a.plan.empty())
+        for (const Flag *f : a.given)
+            if (f->grid)
+                usageError("--plan replaces the built-in grid; drop %s "
+                           "(the plan file already fixes it)",
+                           f->name);
     return a;
+}
+
+/** Usage error unless the thermal response resolves ambient @p c. */
+void
+checkAmbient(const char *flag, double c)
+{
+    const ThermalResponse resp{};
+    if (c < resp.minAmbientC() || c > resp.maxAmbientC())
+        usageError("%s %g is outside the thermal response's resolvable "
+                   "range [%g, %g] deg C",
+                   flag, c, resp.minAmbientC(), resp.maxAmbientC());
 }
 
 /** Parse the --ambients comma list into strictly valid temperatures. */
@@ -364,17 +360,13 @@ parseAmbients(const std::string &list)
     std::vector<double> out;
     std::string tok;
     std::stringstream ss(list);
-    const ThermalResponse resp{};
     while (std::getline(ss, tok, ',')) {
         double v = 0;
         if (!parseF64Strict(tok.c_str(), v) || v <= 0)
             usageError("--ambients wants positive deg C values, got "
                        "'%s'",
                        tok.c_str());
-        if (v < resp.minAmbientC() || v > resp.maxAmbientC())
-            usageError("--ambients value %g is outside the thermal "
-                       "response's resolvable range [%g, %g] deg C",
-                       v, resp.minAmbientC(), resp.maxAmbientC());
+        checkAmbient("--ambients value", v);
         out.push_back(v);
     }
     if (out.empty())
@@ -393,6 +385,18 @@ sessionFor(const Args &a)
     if (!a.store.empty())
         store = std::make_unique<ShardedStore>(a.store, 0, a.sync);
     return std::make_unique<Session>(std::move(store), a.jobs);
+}
+
+/** The workload @p name resolves to, or null after printing the method
+ *  catalogue (the caller exits 1). */
+const Workload *
+knownWorkload(const std::string &name)
+{
+    const Workload *w = findWorkload(name);
+    if (w == nullptr)
+        std::fprintf(stderr, "unknown application '%s' (try 'list')\n%s",
+                     name.c_str(), workloadRegistry().describe().c_str());
+    return w;
 }
 
 // ---------------------------------------------------------------------
@@ -445,17 +449,6 @@ stdoutIsMachineReadable(const Args &a)
     return a.jsonl == "-" || a.csv == "-";
 }
 
-/** A plan file replaces the built-in grid; reject grid flags that
- *  would otherwise be silently ignored. */
-void
-rejectGridFlagsWithPlan(const Args &a)
-{
-    if (!a.plan.empty() && !a.gridFlags.empty())
-        usageError("--plan replaces the built-in grid; drop %s (the "
-                   "plan file already fixes it)",
-                   a.gridFlags.front().c_str());
-}
-
 /** Attach the generic sinks (--jsonl, --csv, --progress); false on a
  *  runtime error (unwritable file). */
 bool
@@ -482,6 +475,16 @@ attachCommonSinks(const Args &a, SinkSet &sinks)
 // Plan builders: each subcommand's flags -> one ExperimentPlan.
 // ---------------------------------------------------------------------
 
+/** The --cores/--hybrid machine axis; empty for the default machine,
+ *  whose rows carry no machine key. */
+std::vector<MachineAxis>
+machinesFor(const Args &a)
+{
+    if (a.cores == 16 && !a.hybrid)
+        return {};
+    return {MachineAxis{static_cast<std::uint32_t>(a.cores), a.hybrid}};
+}
+
 /** The sweep/figures grid for the given flags (the paper's Table 5.4
  *  grid, possibly on a scaled or hybrid machine). */
 ExperimentPlan
@@ -499,13 +502,11 @@ sweepPlanFor(const Args &a, bool announceMachine)
                   workloadRegistry().describe().c_str());
         spec.apps.push_back(rw.workload);
     }
-    if (a.cores != 16 || a.hybrid) {
-        spec.machines = {MachineAxis{a.cores, a.hybrid}};
-        if (announceMachine)
-            std::printf("machine: %u cores (%s)\n", a.cores,
-                        a.hybrid ? "hybrid SRAM L1/L2 + eDRAM LLC"
-                                 : "uniform tech");
-    }
+    spec.machines = machinesFor(a);
+    if (announceMachine && !spec.machines.empty())
+        std::printf("machine: %u cores (%s)\n", spec.machines[0].cores,
+                    a.hybrid ? "hybrid SRAM L1/L2 + eDRAM LLC"
+                             : "uniform tech");
     return ExperimentPlan::fromSweepSpec(std::move(spec));
 }
 
@@ -517,22 +518,32 @@ thermalPlanFor(const Args &a)
     SimParams sim;
     sim.refsPerCore = a.refs;
     sim.seed = a.seed;
-    std::vector<MachineAxis> machines;
-    if (a.cores != 16 || a.hybrid)
-        machines = {MachineAxis{a.cores, a.hybrid}};
-    return ExperimentPlan::thermalStudy(a.app, a.retentionUs,
+    return ExperimentPlan::thermalStudy(a.app(), a.retentionUs,
                                         parseAmbients(a.ambients), sim,
-                                        machines);
+                                        machinesFor(a));
 }
 
 // ---------------------------------------------------------------------
 // run / trace-run share the single-run printer.
 // ---------------------------------------------------------------------
 
+/** The machine a single run simulates; flag combinations it would
+ *  ignore or that contradict each other are usage errors. */
 MachineConfig
 machineFor(const Args &a)
 {
-    if (a.sram && a.decayUs > 0.0)
+    if (a.decayUs > 0.0 && !a.sram)
+        usageError("--decay is the SRAM cache-decay comparator; add "
+                   "--sram");
+    if (a.sram && a.hybrid)
+        usageError("--hybrid builds SRAM L1/L2 over an eDRAM LLC; "
+                   "drop --sram");
+    if (a.sram && a.ambientC > 0.0)
+        usageError("--ambient needs an eDRAM machine; drop --sram "
+                   "(SRAM retention is unlimited)");
+    if (a.ambientC > 0.0)
+        checkAmbient("--ambient", a.ambientC);
+    if (a.decayUs > 0.0)
         return MachineConfig::paperSramDecay(usToTicks(a.decayUs),
                                              a.cores);
     if (a.sram)
@@ -552,7 +563,7 @@ machineFor(const Args &a)
 }
 
 void
-printRun(const Workload &app, const Args &a)
+printRun(const Workload &app, const MachineConfig &cfg, const Args &a)
 {
     SimParams sim;
     sim.refsPerCore = a.refs;
@@ -562,8 +573,7 @@ printRun(const Workload &app, const Args &a)
         energy.altModel = 1;
 
     const RunResult base =
-        runOnce(MachineConfig::paperSram(a.cores), app, sim, energy);
-    const MachineConfig cfg = machineFor(a);
+        runOnce(MachineConfig::paperSram(cfg.numCores), app, sim, energy);
     const RunResult r = a.sram && a.decayUs == 0.0
                             ? base
                             : runOnce(cfg, app, sim, energy);
@@ -623,45 +633,22 @@ printRun(const Workload &app, const Args &a)
 // Subcommands
 // ---------------------------------------------------------------------
 
-/** Most commands take no positional argument — reject strays early. */
-void
-rejectPositionals(const Args &a)
-{
-    if (!a.positional.empty())
-        usageError("unexpected argument '%s'",
-                   a.positional.front().c_str());
-}
-
 int
 cmdRun(const Args &a)
 {
-    rejectPositionals(a);
-    const Workload *app = findWorkload(a.app);
-    if (app == nullptr) {
-        std::fprintf(stderr,
-                     "unknown application '%s' (try 'list')\n%s",
-                     a.app.c_str(),
-                     workloadRegistry().describe().c_str());
+    const MachineConfig cfg = machineFor(a);
+    const Workload *app = knownWorkload(a.app());
+    if (app == nullptr)
         return 1;
-    }
-    printRun(*app, a);
+    printRun(*app, cfg, a);
     return 0;
 }
 
-/** sweep --workers N: shard the plan across worker subprocesses and
+/** sweep --workers N: shard @p plan across worker subprocesses and
  *  merge their row streams (service/coordinator.hh). */
 int
-sweepWithWorkers(const Args &a)
+sweepWithWorkers(const Args &a, const ExperimentPlan &plan)
 {
-    if (a.jsonl.empty())
-        usageError("sweep --workers streams merged rows only; add "
-                   "--jsonl FILE (or --jsonl -)");
-    if (!a.csv.empty() || a.progress)
-        usageError("sweep --workers supports only the --jsonl sink");
-    if (a.sync)
-        usageError("--sync applies only to a single-process sweep; its "
-                   "workers append without it");
-
     char exe[4096];
     const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
     if (n <= 0) {
@@ -671,23 +658,19 @@ sweepWithWorkers(const Args &a)
     }
     exe[n] = '\0';
 
-    // Workers load the plan from a file; write the built-in grid out
-    // when no --plan was given.
-    std::string planPath = a.plan;
-    std::string tempPlan;
-    if (planPath.empty()) {
-        const ExperimentPlan plan = sweepPlanFor(a, false);
-        char tpl[] = "/tmp/refrint-plan-XXXXXX";
-        const int fd = ::mkstemp(tpl);
-        if (fd < 0) {
-            std::fprintf(stderr, "cannot create temp plan file\n");
-            return 1;
-        }
-        ::close(fd);
-        tempPlan = tpl;
-        plan.saveFile(tempPlan);
-        planPath = tempPlan;
+    // Workers load the plan from a file, written beside the
+    // coordinator's range files.
+    const char *tmp = std::getenv("TMPDIR");
+    std::string planPath = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
+    planPath += "/refrint-plan-XXXXXX";
+    const int fd = ::mkstemp(planPath.data());
+    if (fd < 0) {
+        std::fprintf(stderr, "cannot create temp plan file %s\n",
+                     planPath.c_str());
+        return 1;
     }
+    ::close(fd);
+    plan.saveFile(planPath);
 
     CoordinatorOptions opts;
     opts.planPath = planPath;
@@ -698,73 +681,62 @@ sweepWithWorkers(const Args &a)
     opts.workerTimeoutSec = a.workerTimeout;
     SinkSet files; // reuse the sink-file plumbing for the merged stream
     opts.out = openSinkFile(files, a.jsonl);
-    int rc = 1;
-    if (opts.out != nullptr)
-        rc = runCoordinator(opts);
-    if (!tempPlan.empty())
-        ::unlink(tempPlan.c_str());
+    const int rc = opts.out != nullptr ? runCoordinator(opts) : 1;
+    ::unlink(planPath.c_str());
     return rc;
 }
 
 int
 cmdSweepOrFigures(const Args &a, bool figures)
 {
-    rejectPositionals(a);
-    rejectGridFlagsWithPlan(a);
     if (a.workers > 0) {
-        if (figures)
-            usageError("--workers applies to sweep; figures renders "
-                       "its report in one process");
-        return sweepWithWorkers(a);
+        if (a.jsonl.empty())
+            usageError("sweep --workers streams merged rows only; add "
+                       "--jsonl FILE (or --jsonl -)");
+        if (!a.csv.empty() || a.progress)
+            usageError("sweep --workers supports only the --jsonl sink");
+        if (a.sync)
+            usageError("--sync applies only to a single-process sweep; "
+                       "its workers append without it");
     }
-    const bool quiet = stdoutIsMachineReadable(a);
-    ExperimentPlan plan =
-        !a.plan.empty() ? ExperimentPlan::loadFile(a.plan)
-                        : sweepPlanFor(a, /*announceMachine=*/!quiet);
+    // The coordinator prints no report, and a machine-readable stdout
+    // keeps it out.
+    const bool report = a.workers == 0 && !stdoutIsMachineReadable(a);
+    ExperimentPlan plan = !a.plan.empty()
+                              ? ExperimentPlan::loadFile(a.plan)
+                              : sweepPlanFor(a, report);
     // --alt runs the second-opinion energy backend alongside the
     // primary; its rows are keyed separately (|en= tag), never
     // aliasing the default corpus.
     if (a.alt)
         plan.energy.altModel = 1;
+    if (a.workers > 0)
+        return sweepWithWorkers(a, plan);
     SinkSet sinks;
     if (!attachCommonSinks(a, sinks))
         return 1;
-    if (!quiet) {
+    const SweepResult r = sessionFor(a)->run(plan, sinks.ptrs);
+    if (report) {
         if (figures)
-            sinks.add(std::make_unique<FiguresSink>());
-        sinks.add(std::make_unique<HeadlineSink>());
+            printFigures(r);
+        printHeadline(r);
         // These print nothing unless the plan held request-serving
         // runs / the alternate backend, so the default sweep output
         // stays byte-identical.
-        sinks.add(std::make_unique<LatencySink>());
-        sinks.add(std::make_unique<DisagreementSink>());
+        printLatencyTable(r);
+        printDisagreement(r);
     }
-    sessionFor(a)->run(plan, sinks.ptrs);
     return 0;
-}
-
-int
-cmdSweep(const Args &a)
-{
-    return cmdSweepOrFigures(a, false);
-}
-
-int
-cmdFigures(const Args &a)
-{
-    return cmdSweepOrFigures(a, true);
 }
 
 int
 cmdThermalStudy(const Args &a)
 {
-    rejectPositionals(a);
-    rejectGridFlagsWithPlan(a);
-    const bool quiet = stdoutIsMachineReadable(a);
+    const bool report = !stdoutIsMachineReadable(a);
     // The table header names the studied app/retention: from the flags
     // for the built-in plan, from the plan's own measured scenarios
     // when one is replayed.
-    std::string app = a.app;
+    std::string app = a.app();
     double retentionUs = a.retentionUs;
     ExperimentPlan plan;
     if (!a.plan.empty()) {
@@ -777,33 +749,23 @@ cmdThermalStudy(const Args &a)
             }
         }
     } else {
-        if (findWorkload(a.app) == nullptr) {
-            std::fprintf(stderr,
-                         "unknown application '%s' (try 'list')\n%s",
-                         a.app.c_str(),
-                         workloadRegistry().describe().c_str());
+        if (knownWorkload(app) == nullptr)
             return 1;
-        }
         plan = thermalPlanFor(a);
     }
     SinkSet sinks;
     if (!attachCommonSinks(a, sinks))
         return 1;
-    if (!quiet)
-        sinks.add(std::make_unique<ThermalStudySink>(app, retentionUs));
-    sessionFor(a)->run(plan, sinks.ptrs);
+    const SweepResult r = sessionFor(a)->run(plan, sinks.ptrs);
+    if (report)
+        printThermalStudy(r, app.c_str(), retentionUs);
     return 0;
 }
 
 int
-cmdBinning(const Args &a)
+cmdBinning(const Args &)
 {
-    rejectPositionals(a);
-    BinningSink sink;
-    std::vector<ResultSink *> sinks{&sink};
-    // The binning plan simulates nothing; it needs no result store.
-    Session session(nullptr, 0);
-    session.run(ExperimentPlan::binning(), sinks);
+    printBinning();
     return 0;
 }
 
@@ -813,27 +775,24 @@ cmdPlan(const Args &a)
     if (a.positional.empty() || a.positional[0] != "dump")
         usageError("plan wants the 'dump' action, e.g. "
                    "'refrint_cli plan dump --out plan.json'");
-    const std::string what =
+    const std::string kind =
         a.positional.size() > 1 ? a.positional[1] : "sweep";
-    if (a.positional.size() > 2)
-        usageError("unexpected argument '%s'",
-                   a.positional[2].c_str());
+    if (kind != "sweep" && kind != "figures" && kind != "thermal-study")
+        usageError("unknown plan '%s' (sweep, figures, thermal-study)",
+                   kind.c_str());
+    // Each kind takes the grid flags of the command it names.
+    const Command &named = *findCommand(kind);
+    for (const Flag *f : a.given)
+        if (f->grid && !takes(named, f->name))
+            usageError("plan dump %s does not take %s", kind.c_str(),
+                       f->name);
+    if (a.apps.size() > 1 && !takes(named, "--app", true))
+        usageError("plan dump %s takes one --app", kind.c_str());
 
-    ExperimentPlan plan;
-    if (what == "sweep" || what == "figures") {
-        plan = sweepPlanFor(a, false);
-        if (what == "figures")
-            plan.name = "figures";
-    } else if (what == "thermal-study") {
-        plan = thermalPlanFor(a);
-    } else if (what == "binning") {
-        plan = ExperimentPlan::binning();
-    } else {
-        usageError("unknown plan '%s' (sweep, figures, thermal-study, "
-                   "binning)",
-                   what.c_str());
-    }
-
+    ExperimentPlan plan = kind == "thermal-study" ? thermalPlanFor(a)
+                                                  : sweepPlanFor(a, false);
+    if (kind == "figures")
+        plan.name = "figures";
     if (a.out.empty())
         std::fputs(plan.toJson().c_str(), stdout);
     else
@@ -844,7 +803,6 @@ cmdPlan(const Args &a)
 int
 cmdWorker(const Args &a)
 {
-    rejectPositionals(a);
     if (a.plan.empty())
         usageError("worker needs --plan FILE");
     const auto colon = a.range.find(':');
@@ -868,7 +826,6 @@ cmdWorker(const Args &a)
 int
 cmdServe(const Args &a)
 {
-    rejectPositionals(a);
     if (a.socket.empty() == (a.port == 0))
         usageError("serve needs exactly one of --socket PATH or "
                    "--port N");
@@ -886,17 +843,11 @@ cmdServe(const Args &a)
 int
 cmdSubmit(const Args &a)
 {
-    std::string op = "run";
-    if (!a.positional.empty()) {
-        op = a.positional[0];
-        if (a.positional.size() > 1)
-            usageError("unexpected argument '%s'",
-                       a.positional[1].c_str());
-        if (op != "stats" && op != "shutdown")
-            usageError("unknown submit action '%s' (a plan via --plan, "
-                       "or 'stats'/'shutdown')",
-                       op.c_str());
-    }
+    const std::string op = a.positional.empty() ? "run" : a.positional[0];
+    if (!a.positional.empty() && op != "stats" && op != "shutdown")
+        usageError("unknown submit action '%s' (a plan via --plan, "
+                   "or 'stats'/'shutdown')",
+                   op.c_str());
     if (a.socket.empty() == (a.port == 0))
         usageError("submit needs exactly one of --socket PATH or "
                    "--port N");
@@ -918,9 +869,6 @@ cmdCache(const Args &a)
         (a.positional[0] != "migrate" && a.positional[0] != "scrub"))
         usageError("cache wants the 'migrate' or 'scrub' action, e.g. "
                    "'refrint_cli cache scrub --store DIR --repair'");
-    if (a.positional.size() > 1)
-        usageError("unexpected argument '%s'",
-                   a.positional[1].c_str());
     const std::string action = a.positional[0];
     if (a.store.empty())
         usageError("cache %s needs --store DIR (the sharded store to "
@@ -961,7 +909,6 @@ cmdCache(const Args &a)
 int
 cmdValidate(const Args &a)
 {
-    rejectPositionals(a);
     if (a.store.empty())
         usageError("validate needs --store DIR (the corpus to check)");
     ValidateOptions opts;
@@ -974,12 +921,11 @@ cmdValidate(const Args &a)
 int
 cmdTraceRecord(const Args &a)
 {
-    rejectPositionals(a);
-    const Workload *app = findWorkload(a.app);
-    if (app == nullptr || a.out.empty()) {
-        std::fprintf(stderr, "trace-record needs --app and --out\n");
+    if (a.out.empty())
+        usageError("trace-record needs --out FILE");
+    const Workload *app = knownWorkload(a.app());
+    if (app == nullptr)
         return 1;
-    }
     const Trace t = recordTrace(*app, a.cores, a.refs, a.seed);
     if (!saveTrace(t, a.out))
         return 1;
@@ -992,20 +938,17 @@ cmdTraceRecord(const Args &a)
 int
 cmdTraceRun(const Args &a)
 {
-    rejectPositionals(a);
-    if (a.in.empty()) {
-        std::fprintf(stderr, "trace-run needs --in\n");
-        return 1;
-    }
+    if (a.in.empty())
+        usageError("trace-run needs --in FILE (from 'trace-record')");
+    const MachineConfig cfg = machineFor(a);
     TraceWorkload app(loadTrace(a.in), a.in);
-    printRun(app, a);
+    printRun(app, cfg, a);
     return 0;
 }
 
 int
-cmdList(const Args &a)
+cmdList(const Args &)
 {
-    rejectPositionals(a);
     std::printf("applications (Table 5.3 / binning of Table 6.1):\n");
     for (const Workload *w : paperWorkloads())
         std::printf("  %-14s class %d\n", w->name(), w->paperClass());
@@ -1051,184 +994,116 @@ cmdHelp(const Args &a)
 
 const Command kCommands[] = {
     {"run", "one simulation, normalized against the SRAM baseline",
-     "usage: refrint_cli run [options]\n"
-     "  --app SPEC       workload name or method spec, e.g.\n"
-     "                   'serve:rps=2e6,ws=64k' (default fft)\n"
-     "  --policy P       refresh policy (default R.WB(32,32))\n"
-     "  --retention US   eDRAM retention in us (default 50)\n"
-     "  --refs N         references per core (default 120000)\n"
-     "  --seed S         PRNG seed (default 1)\n"
-     "  --sram           run the all-SRAM machine\n"
-     "  --decay US       SRAM cache-decay comparator interval\n"
-     "  --ambient C      enable the thermal subsystem at C deg C\n"
-     "  --cores N        scale the machine to N cores (4..64)\n"
-     "  --hybrid         SRAM L1/L2 over the eDRAM LLC\n"
-     "  --alt            also compute the alternate energy backend\n"
-     "                   and print the cross-model disagreement\n",
-     cmdRun},
+     "--app --policy --retention --refs --seed --cores --hybrid --sram "
+     "--alt --decay --ambient",
+     0, "usage: refrint_cli run [options]\n", cmdRun},
     {"sweep", "the paper's Table 5.4 sweep (473 runs at full size)",
-     "usage: refrint_cli sweep [options]\n"
-     "  --plan FILE      run a JSON experiment plan instead of the\n"
-     "                   built-in grid (see 'plan dump')\n"
-     "  --app SPEC       replace the paper-app axis (repeatable);\n"
-     "                   SPEC is a name or method spec, e.g.\n"
-     "                   'agg:tables=part,skew=0.8' (see 'list')\n"
-     "  --refs N         references per core (default 120000)\n"
-     "  --cores N        machine scale (4..64; rows machine-keyed)\n"
-     "  --hybrid         SRAM L1/L2 over the eDRAM LLC\n"
-     "  --alt            run the alternate energy backend alongside\n"
-     "                   the primary (rows keyed separately via the\n"
-     "                   plan's energy tag; adds the disagreement\n"
-     "                   table to the report)\n"
-     "  --workers N      shard the plan across N worker subprocesses\n"
-     "                   (needs --jsonl; merged rows are byte-identical\n"
-     "                   to a single-process --jobs 1 run)\n"
-     "  --retries N      extra attempts per range after a worker\n"
-     "                   crash/hang, with salvage of its flushed rows\n"
-     "                   and capped exponential backoff (default 1)\n"
-     "  --worker-timeout SEC   kill a worker whose row stream stops\n"
-     "                   growing for SEC seconds (progress deadline;\n"
-     "                   default off)\n",
-     cmdSweep, /*runsPlans=*/true},
+     "--plan --app... --refs --cores --hybrid --alt --workers --retries "
+     "--worker-timeout --jsonl --csv --progress --store --sync --jobs",
+     0, "usage: refrint_cli sweep [options]\n",
+     [](const Args &a) { return cmdSweepOrFigures(a, false); }},
     {"figures", "Figs. 6.1-6.4 + the headline table",
-     "usage: refrint_cli figures [options]\n"
-     "  --plan FILE      run a JSON experiment plan instead of the\n"
-     "                   built-in grid\n"
-     "  --refs N         references per core (default 120000)\n"
-     "  --cores N --hybrid    as for 'sweep'\n",
-     cmdFigures, /*runsPlans=*/true},
+     "--plan --app... --refs --cores --hybrid --alt --jsonl --csv "
+     "--progress --store --sync --jobs",
+     0, "usage: refrint_cli figures [options]\n",
+     [](const Args &a) { return cmdSweepOrFigures(a, true); }},
     {"thermal-study", "sweep the ambient-temperature scenario axis",
-     "usage: refrint_cli thermal-study [options]\n"
-     "  --app NAME       workload (default fft)\n"
-     "  --retention US   nominal retention (default 50)\n"
-     "  --ambients LIST  comma-separated deg C (default 45,65,85)\n"
-     "  --refs N --seed S --cores N --hybrid    as for 'run'\n"
-     "  --plan FILE      run a JSON experiment plan instead\n",
-     cmdThermalStudy, /*runsPlans=*/true},
-    {"binning", "Table 6.1 application classification",
+     "--plan --app --retention --ambients --refs --seed --cores --hybrid "
+     "--jsonl --csv --progress --store --sync --jobs",
+     0, "usage: refrint_cli thermal-study [options]\n", cmdThermalStudy},
+    {"binning", "Table 6.1 application classification", "", 0,
      "usage: refrint_cli binning\n", cmdBinning},
     {"plan", "dump experiment plans as shareable JSON files",
-     "usage: refrint_cli plan dump [sweep|figures|thermal-study|"
-     "binning] [options]\n"
-     "  --out FILE       write the plan file (default stdout)\n"
-     "  (grid options --app/--refs/--cores/--hybrid, and for\n"
-     "   thermal-study --retention/--ambients/--seed, shape the\n"
-     "   dumped plan)\n"
-     "\nA dumped plan replays with 'sweep --plan FILE' and produces\n"
-     "rows byte-identical to the grid it was dumped from.\n",
+     "--out --app... --retention --ambients --refs --seed --cores "
+     "--hybrid",
+     2,
+     "usage: refrint_cli plan dump [sweep|figures|thermal-study] "
+     "[options]\n"
+     "\nEach kind takes --out and the grid flags of the command it\n"
+     "names.  A dumped plan replays with 'sweep --plan FILE' and\n"
+     "produces rows byte-identical to the grid it was dumped from.\n",
      cmdPlan},
     {"worker", "run one scenario range of a plan (coordinator half)",
+     "--plan --range --store --jobs", 0,
      "usage: refrint_cli worker --plan FILE --range A:B [options]\n"
-     "  --plan FILE      the FULL experiment plan (JSON)\n"
-     "  --range A:B      scenario indices to run, A inclusive to B\n"
-     "                   exclusive; rows stream to stdout as JSON\n"
-     "                   Lines with their global plan identity\n"
-     "  --store DIR      sharded result store shared by all workers\n"
-     "                   (default: none; every scenario simulates)\n"
-     "  --jobs N         threads inside this worker (default 1)\n"
-     "\nNormally spawned by 'sweep --workers N'; runnable by hand for\n"
-     "debugging a shard.\n",
-     cmdWorker, /*runsPlans=*/false, /*usesPlan=*/true,
-     /*opensStore=*/true},
+     "\nRuns a range of the FULL plan and streams its rows to stdout\n"
+     "as JSON Lines with their global plan identity; --jobs defaults\n"
+     "to 1.  Normally spawned by 'sweep --workers N'; runnable by\n"
+     "hand for debugging a shard.\n",
+     cmdWorker},
     {"serve", "long-running experiment service on a socket",
+     "--socket --port --store --jobs --max-queue --request-timeout "
+     "--idle-timeout",
+     0,
      "usage: refrint_cli serve (--socket PATH | --port N) [options]\n"
-     "  --socket PATH    listen on a unix socket\n"
-     "  --port N         listen on 127.0.0.1:N\n"
-     "  --store DIR      sharded result store (answers warm scenarios\n"
-     "                   without simulating; without it every request\n"
-     "                   simulates)\n"
-     "  --jobs N         worker threads for cold scenarios\n"
-     "  --max-queue N    pending-connection bound; a full queue sheds\n"
-     "                   new connections with {\"error\":\"overloaded\"}\n"
-     "                   (default 16)\n"
-     "  --request-timeout SEC  per-plan wall deadline; scenarios not\n"
-     "                   started in time are abandoned and the\n"
-     "                   response ends with an error line (default "
-     "off)\n"
-     "  --idle-timeout SEC     close connections whose client sends\n"
-     "                   nothing for SEC seconds (default off)\n"
      "\nRequests are newline-delimited JSON: a plan document runs it\n"
      "(rows + a {\"done\":...} summary with warm/cold counts, queue\n"
      "depth and per-scenario latency); {\"op\":\"stats\"} reports\n"
      "service counters; {\"op\":\"shutdown\"} stops the server.\n"
      "SIGTERM drains gracefully: stop accepting, finish queued\n"
      "connections, flush the store, exit 0.\n",
-     cmdServe, /*runsPlans=*/false, /*usesPlan=*/false,
-     /*opensStore=*/true},
+     cmdServe},
     {"submit", "send one request to a running 'serve'",
+     "--socket --port --plan", 1,
      "usage: refrint_cli submit (--socket PATH | --port N)\n"
      "                          (--plan FILE | stats | shutdown)\n"
-     "  --plan FILE      plan to run; response rows stream to stdout\n"
-     "  stats            print the service counters\n"
-     "  shutdown         stop the server\n"
-     "\nRetries the connect for ~2s, so 'serve &' then 'submit' works\n"
-     "without sleeps.  Exits 1 when the server answers an error.\n",
-     cmdSubmit, /*runsPlans=*/false, /*usesPlan=*/true},
+     "\nA plan's response rows stream to stdout; 'stats' prints the\n"
+     "service counters, 'shutdown' stops the server.  Retries the\n"
+     "connect for ~2s, so 'serve &' then 'submit' works without\n"
+     "sleeps.  Exits 1 when the server answers an error.\n",
+     cmdSubmit},
     {"cache", "migrate into, or scrub & repair, a sharded store",
+     "--store --in --repair", 1,
      "usage: refrint_cli cache migrate --in FILE --store DIR\n"
      "       refrint_cli cache scrub   --store DIR [--repair]\n"
-     "  --store DIR      the sharded store to import into / verify\n"
-     "  --in FILE        migrate: the legacy CSV cache to import\n"
-     "                   (v5-v8 header); read, never modified\n"
-     "  --repair         scrub: quarantine damaged lines to\n"
-     "                   shard-NNN.bad and atomically rebuild each\n"
-     "                   shard from its valid rows (duplicates\n"
-     "                   compacted last-wins)\n"
-     "\nMigrated rows are byte-identical to freshly simulated ones, so\n"
-     "a follow-up 'sweep --store DIR' is all-warm.  'cache scrub'\n"
-     "verifies every record's framing checksum, tells crash-torn\n"
-     "tails from mid-file corruption, and exits 1 on unrepaired\n"
-     "damage.\n",
-     cmdCache, /*runsPlans=*/false, /*usesPlan=*/false,
-     /*opensStore=*/true},
+     "\nMigrated rows (from a v5-v8 CSV cache) are byte-identical to\n"
+     "freshly simulated ones.  Scrub verifies every record's\n"
+     "checksum, tells crash-torn tails from mid-file corruption,\n"
+     "and exits 1 on unrepaired damage.\n",
+     cmdCache},
     {"validate", "check a result corpus against the model invariants",
+     "--store --out --verbose", 0,
      "usage: refrint_cli validate --store DIR [options]\n"
-     "  --store DIR      sharded result store to validate (import a\n"
-     "                   legacy CSV cache with 'cache migrate' first)\n"
-     "  --out FILE       write a machine-readable JSON report\n"
-     "  --verbose        list every finding, not just the summary\n"
-     "\nStreams every row of the corpus and checks row-local\n"
-     "invariants (finite fields, the energy decomposition identity,\n"
-     "latency percentile ladders, the refresh ceiling, the alternate\n"
-     "backend's envelope), the analytic predictor's agreement\n"
-     "envelope, and cross-row invariants (P.all refresh dominance,\n"
-     "All >= Valid >= Dirty refresh ordering, energy monotone along\n"
-     "the retention axis).  Exit codes: 0 clean, 1 violations or an\n"
-     "unreadable corpus, 2 usage error.\n",
-     cmdValidate, /*runsPlans=*/false, /*usesPlan=*/false,
-     /*opensStore=*/true},
+     "\nChecks every row of the corpus against row-local invariants\n"
+     "(finite fields, the energy decomposition identity, latency\n"
+     "ladders, the refresh ceiling, the alternate backend's\n"
+     "envelope), the analytic predictor's envelope, and cross-row\n"
+     "invariants (P.all refresh dominance, All >= Valid >= Dirty,\n"
+     "energy monotone in retention).  Exit codes: 0 clean, 1\n"
+     "violations or an unreadable corpus, 2 usage error.\n",
+     cmdValidate},
     {"trace-record", "record a workload's reference stream to a file",
-     "usage: refrint_cli trace-record --app NAME --out FILE\n"
-     "  --refs N --seed S --cores N    recording parameters\n",
+     "--app --out --refs --seed --cores", 0,
+     "usage: refrint_cli trace-record --out FILE [options]\n",
      cmdTraceRecord},
     {"trace-run", "simulate a recorded trace",
-     "usage: refrint_cli trace-run --in FILE [run options]\n",
-     cmdTraceRun},
-    {"list", "list applications, policies and axes",
+     "--in --policy --retention --refs --seed --cores --hybrid --sram "
+     "--alt --decay --ambient",
+     0, "usage: refrint_cli trace-run --in FILE [options]\n", cmdTraceRun},
+    {"list", "list applications, policies and axes", "", 0,
      "usage: refrint_cli list\n", cmdList},
-    {"help", "show this index, or one command in detail",
+    {"help", "show this index, or one command in detail", "", 1,
      "usage: refrint_cli help [command]\n", cmdHelp},
 };
 
 const Command *
-commandIndex()
-{
-    return kCommands;
-}
-
-std::size_t
-commandCount()
-{
-    return sizeof(kCommands) / sizeof(kCommands[0]);
-}
-
-const Command *
 findCommand(const std::string &name)
 {
-    for (std::size_t i = 0; i < commandCount(); ++i)
-        if (name == kCommands[i].name)
-            return &kCommands[i];
+    for (const Command &c : kCommands)
+        if (name == c.name)
+            return &c;
     return nullptr;
+}
+
+void
+printCommandIndex(std::FILE *out)
+{
+    std::fprintf(out, "usage: refrint_cli <command> [options]\n\n"
+                      "commands:\n");
+    for (const Command &c : kCommands)
+        std::fprintf(out, "  %-14s %s\n", c.name, c.summary);
+    std::fprintf(out, "\nsee 'refrint_cli help <command>' for options "
+                      "and examples.\n");
 }
 
 } // namespace
@@ -1247,6 +1122,5 @@ main(int argc, char **argv)
         return 2;
     }
     gActive = cmd;
-    const Args a = parseArgs(argc, argv, 2);
-    return cmd->run(a);
+    return cmd->run(parseArgs(*cmd, argc, argv));
 }
