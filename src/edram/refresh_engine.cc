@@ -76,6 +76,21 @@ RefreshEngine::visitLine(std::uint32_t idx, Tick now)
 namespace
 {
 
+/** Prefetch every host cache line overlapping [p, p + n): warms what
+ *  an engine's next wake will touch while other events run first.  A
+ *  prefetch never faults and changes no value. */
+template <class T>
+inline void
+prefetchSpan(const T *p, std::size_t n)
+{
+    if (n == 0)
+        return;
+    const auto end = reinterpret_cast<std::uintptr_t>(p + n);
+    for (auto a = reinterpret_cast<std::uintptr_t>(p) & ~std::uintptr_t{63};
+         a < end; a += 64)
+        __builtin_prefetch(reinterpret_cast<const void *>(a));
+}
+
 /** Affinely rescale a future stamp around @p now by @p rho. */
 Tick
 rescaleStamp(Tick t, Tick now, double rho)
@@ -229,15 +244,53 @@ PeriodicEngine::fire(Tick now, std::uint64_t tag)
         if (serviced > 0)
             target_.refreshLinesBulk(serviced, now);
     } else {
+        // General path (Dirty, WB(n,m), or a target that records each
+        // line): the Fig. 4.1 decision per line in line order, as
+        // visitLine makes it, but probe-invalid lines are skipped from
+        // the packed probe words without touching their structs, and
+        // the tallies are charged once per burst.  Only write-backs,
+        // invalidations and a per-line target's refreshes call out.
+        const bool bulk = target_.supportsBulkRefresh();
+        const bool all = policy_.data == DataPolicy::All;
+        const Addr *probe = arr_.probeData();
+        std::uint32_t refreshed = 0, written = 0, dropped = 0;
         for (std::uint32_t idx = lo; idx < hi; ++idx) {
-            if (visitLine(idx, now))
-                ++serviced;
-            else if (policy_.data != DataPolicy::All) {
-                // Invalidated/skipped lines still occupied the pipeline
-                // for their tag+state read, but that is off the data
-                // array; we only block for actual line refreshes.
+            if (!all && probe[idx] == 0)
+                continue; // invalid: every data policy but All skips it
+            CacheLine &line = arr_.lineAt(idx);
+            switch (decideRefresh(policy_, line)) {
+              case RefreshAction::Refresh:
+                ++refreshed;
+                if (!bulk)
+                    target_.refreshLine(idx, now);
+                renewClocks(idx, line, now);
+                break;
+              case RefreshAction::Writeback:
+                // The write-back reads the line out, which refreshes
+                // its cells; it stays resident as Valid-Clean.
+                ++written;
+                target_.writebackLine(idx, now);
+                renewClocks(idx, line, now);
+                break;
+              case RefreshAction::Invalidate:
+                ++dropped;
+                target_.invalidateLine(idx, now);
+                break;
+              case RefreshAction::Skip:
+                break;
             }
         }
+        // Invalidated and skipped lines occupy the pipeline only for
+        // their tag+state read, off the data array: the bank blocks
+        // for refreshes and write-backs alone.
+        serviced = refreshed + written;
+        visits_->inc(hi - lo);
+        refreshes_->inc(refreshed);
+        wbs_->inc(written);
+        invals_->inc(dropped);
+        skips_->inc((hi - lo) - serviced - dropped);
+        if (bulk && refreshed > 0)
+            target_.refreshLinesBulk(refreshed, now);
     }
     bursts_->inc();
     // The bank is unavailable while the burst streams through the data
@@ -246,6 +299,19 @@ PeriodicEngine::fire(Tick now, std::uint64_t tag)
         target_.addBusy(now, serviced);
     burstNext_[k] = now + cellRetention_;
     burstEvents_[k] = eq_.scheduleCancellable(burstNext_[k], this, k);
+    prefetchBurst(k + 1 < numBursts_ ? k + 1 : 0);
+}
+
+void
+PeriodicEngine::prefetchBurst(std::uint32_t k) const
+{
+    // Burst k is this engine's next wake (bursts fire in phase order):
+    // warm its probe words (All reads none) and its line structs.
+    const std::uint32_t lo = k * linesPerBurst_;
+    const std::uint32_t n = std::min(arr_.numLines() - lo, linesPerBurst_);
+    if (policy_.data != DataPolicy::All)
+        prefetchSpan(arr_.probeData() + lo, n);
+    prefetchSpan(&arr_.lineAt(lo), n);
 }
 
 void
@@ -323,15 +389,21 @@ RefrintEngine::GroupHeap::siftDown(std::size_t i)
         const std::size_t base = (i << 4) + 1;
         if (base >= n)
             break;
-        std::size_t best = base;
         const std::size_t end = base + 16 < n ? base + 16 : n;
+        // The first minimum child, found by conditional selects: which
+        // child wins is data-dependent, and a branch on it mispredicts.
+        // Strict < keeps the first of equal keys, which fixes the
+        // heap's layout and so the service order of equal deadlines.
+        std::size_t best = base;
+        Tick bestExpiry = expiry_[base];
         for (std::size_t c = base + 1; c < end; ++c) {
-            if (expiry_[c] < expiry_[best])
-                best = c;
+            const bool less = expiry_[c] < bestExpiry;
+            bestExpiry = less ? expiry_[c] : bestExpiry;
+            best = less ? c : best;
         }
-        if (heldExpiry <= expiry_[best])
+        if (heldExpiry <= bestExpiry)
             break;
-        expiry_[i] = expiry_[best];
+        expiry_[i] = bestExpiry;
         group_[i] = group_[best];
         pos_[group_[i]] = static_cast<std::uint32_t>(i);
         i = best;
@@ -622,6 +694,23 @@ RefrintEngine::fire(Tick now, std::uint64_t)
             heap_.popTop();
     }
     maybeSchedule();
+    if (!heap_.empty())
+        prefetchGroup(heap_.topGroup());
+}
+
+void
+RefrintEngine::prefetchGroup(std::uint32_t g) const
+{
+    // The heap-top group is the next wake's first deadline check and,
+    // if its sentry has decayed, its service: warm the sentry and probe
+    // words groupDeadline scans and the line structs a service writes.
+    // They were last touched about one sentry period ago.
+    const std::uint32_t lo = groupBase(g);
+    const std::uint32_t n =
+        std::min(arr_.numLines() - lo, geom_.sentryGroupSize);
+    prefetchSpan(sentryM_.data() + lo, n);
+    prefetchSpan(arr_.probeData() + lo, n);
+    prefetchSpan(&arr_.lineAt(lo), n);
 }
 
 // ---------------------------------------------------------------------

@@ -306,6 +306,9 @@ class PeriodicEngine : public RefreshEngine
     void onRetentionRescaled(double rho, Tick now) override;
 
   private:
+    /** Prefetch what burst @p k will read and write (see fire()). */
+    void prefetchBurst(std::uint32_t k) const;
+
     std::uint32_t linesPerBurst_;
     std::uint32_t numBursts_;
     ArenaVector<Tick> burstNext_;  ///< next firing time per burst
@@ -442,6 +445,9 @@ class RefrintEngine : public RefreshEngine
 
     /** Make sure an event is scheduled for the heap top. */
     void maybeSchedule();
+
+    /** Prefetch the words and lines group @p g's next wake reads. */
+    void prefetchGroup(std::uint32_t g) const;
 
     std::uint32_t numGroups_;
     GroupHeap heap_;

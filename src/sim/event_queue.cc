@@ -54,7 +54,7 @@ EventQueue::flushWheelToHeap()
         }
         b.clear();
     }
-    occ_ = 0;
+    occ_.fill(0);
     pos_ = 0;
 }
 
@@ -64,7 +64,7 @@ EventQueue::prepareNext(Tick limit)
     for (;;) {
         // Retire the exhausted current bucket (every entry consumed).
         bucketOf(base_).clear();
-        occ_ &= ~(1ull << (base_ & kWheelMask));
+        markEmpty(static_cast<unsigned>(base_ & kWheelMask));
         pos_ = 0;
 
         // Melt cancelled heap tops so hNext names a live entry.
@@ -137,7 +137,7 @@ EventQueue::clear()
 {
     for (auto &b : wheel_)
         b.clear();
-    occ_ = 0;
+    occ_.fill(0);
     base_ = 0;
     pos_ = 0;
     keys_.clear();

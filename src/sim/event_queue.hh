@@ -9,10 +9,11 @@
  *
  * Hot-path layout, three bands by time-to-fire:
  *
- *  - Wheel (due within kWheelSpan ticks): a 64-slot timing wheel —
- *    one bucket per tick of the sliding window [base_, base_+63], a
- *    64-bit occupancy mask, O(1) admission and dispatch.  Core-like
- *    clients reschedule a handful of ticks out, so the dominant event
+ *  - Wheel (due within kWheelSize ticks): a 256-slot timing wheel —
+ *    one bucket per tick of the sliding window [base_, base_+255], a
+ *    four-word occupancy mask, O(1) admission and dispatch.  Core-like
+ *    clients reschedule a handful of ticks out, and sentry re-arms and
+ *    miss completions land within a few hundred, so the dominant event
  *    population never touches a comparison sort at all; per-event cost
  *    is flat in the client count (the 4-ary heap's sift depth grew
  *    with the core count, which is why a 32-core machine used to
@@ -251,11 +252,14 @@ class EventQueue
     static constexpr std::uint32_t kSeqLimit = 0xfffffff0u;
 
     /** Timing-wheel geometry: one bucket per tick of the sliding
-     *  window [base_, base_ + kWheelMask].  64 slots so the occupancy
-     *  mask is a single word and the window comfortably covers the
-     *  few-tick self-reschedule deltas core-like clients use. */
-    static constexpr unsigned kWheelSize = 64;
+     *  window [base_, base_ + kWheelMask].  256 slots cover the
+     *  few-tick core reschedules and also the 64-255-tick band where a
+     *  third of a refresh-heavy run's admissions land (sentry re-arms,
+     *  miss completions; DESIGN.md "Kernel round 2"); the occupancy
+     *  mask is four words. */
+    static constexpr unsigned kWheelSize = 256;
     static constexpr Tick kWheelMask = kWheelSize - 1;
+    static constexpr unsigned kOccWords = kWheelSize / 64;
 
     /**
      * Horizon splitting the heap from the far band.  Entries due within
@@ -309,7 +313,7 @@ class EventQueue
     bucketInsert(const Key &k, const Val &v)
     {
         ArenaVector<Entry> &b = bucketOf(k.when);
-        occ_ |= 1ull << (k.when & kWheelMask);
+        markOccupied(static_cast<unsigned>(k.when & kWheelMask));
         if (b.empty() || b.back().key.seq < k.seq) {
             b.push_back(Entry{k, v});
             return;
@@ -391,17 +395,38 @@ class EventQueue
      */
     bool prepareNext(Tick limit);
 
-    /** Earliest occupied wheel tick strictly after base_, or never. */
+    void
+    markOccupied(unsigned slot)
+    {
+        occ_[slot >> 6] |= 1ull << (slot & 63);
+    }
+
+    void
+    markEmpty(unsigned slot)
+    {
+        occ_[slot >> 6] &= ~(1ull << (slot & 63));
+    }
+
+    /** Earliest occupied wheel tick strictly after base_, or never.
+     *  Scans the occupancy words circularly from base_ + 1: the first
+     *  word masked below that slot, the other words whole, then the
+     *  first word again for the slots that wrapped around. */
     Tick
     nextWheelTick() const
     {
-        if (occ_ == 0)
-            return kTickNever;
         const unsigned from = static_cast<unsigned>((base_ + 1) & kWheelMask);
-        const std::uint64_t r =
-            (occ_ >> from) | (from == 0 ? 0 : occ_ << (kWheelSize - from));
-        return base_ + 1 +
-               static_cast<Tick>(__builtin_ctzll(r));
+        unsigned w = from >> 6;
+        std::uint64_t bits = occ_[w] & (~0ull << (from & 63));
+        for (unsigned probes = 0; probes <= kOccWords; ++probes) {
+            if (bits != 0) {
+                const unsigned slot =
+                    (w << 6) | static_cast<unsigned>(__builtin_ctzll(bits));
+                return base_ + 1 + ((slot - from) & kWheelMask);
+            }
+            w = (w + 1) & (kOccWords - 1);
+            bits = occ_[w];
+        }
+        return kTickNever;
     }
 
     /** Rare slow path: a bounded run() slid the window past now_ and a
@@ -467,10 +492,11 @@ class EventQueue
     /** One-shot slab path, out of line (the rare case). */
     void dispatchFn(const Val &v);
 
-    /** Timing wheel: bucket (t & 63) holds the entries of absolute
-     *  tick t for t in [base_, base_+63], each bucket seq-sorted. */
+    /** Timing wheel: bucket (t & 255) holds the entries of absolute
+     *  tick t for t in [base_, base_+255], each bucket seq-sorted. */
     std::array<ArenaVector<Entry>, kWheelSize> wheel_;
-    std::uint64_t occ_ = 0; ///< bucket-occupied bits, indexed (t & 63)
+    /** Bucket-occupied bits: slot s is bit (s & 63) of word s >> 6. */
+    std::array<std::uint64_t, kOccWords> occ_{};
     Tick base_ = 0;         ///< window start == tick being dispatched
     std::size_t pos_ = 0;   ///< consumed prefix of the current bucket
 

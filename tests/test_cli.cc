@@ -252,6 +252,28 @@ TEST_F(Cli, RejectedInvocationsExitTwo)
              "--sram"},
             {{"run", "--sram", "--decay", "-5"}, "> 0"},
             {{"run", "--sram", "--decay", "0"}, "> 0"},
+            // Flags the SRAM machine, a single-process sweep or the
+            // other cache action would ignore.
+            {{"run", "--sram", "--policy", "P.all", "--retention", "200",
+              "--refs", "200"},
+             "--policy has no effect with --sram"},
+            {{"run", "--sram", "--retention", "200"},
+             "--retention has no effect with --sram"},
+            {{"trace-run", "--in", "missing.trc", "--sram", "--policy",
+              "P.all"},
+             "--policy has no effect with --sram"},
+            {{"trace-run", "--in", "missing.trc", "--retention", "200",
+              "--sram"},
+             "--retention has no effect with --sram"},
+            {{"sweep", "--app", "fft", "--refs", "100", "--retries", "5",
+              "--worker-timeout", "1", "--jsonl", "F"},
+             "--retries applies only to sweep --workers N"},
+            {{"sweep", "--worker-timeout", "1"},
+             "--worker-timeout applies only to sweep --workers N"},
+            {{"cache", "scrub", "--store", "x", "--in", "F"},
+             "cache scrub does not take --in"},
+            {{"cache", "migrate", "--in", "F", "--store", "x", "--repair"},
+             "cache migrate does not take --repair"},
             // Missing required flags.
             {{"trace-record"}, "trace-record needs --out"},
             {{"trace-record", "--app", "fft"}, "trace-record needs --out"},
@@ -322,6 +344,7 @@ TEST_F(Cli, RejectedInvocationsExitTwo)
     }
     // Nothing was left behind by the rejected commands.
     EXPECT_FALSE(std::filesystem::exists(file("x")));
+    EXPECT_FALSE(std::filesystem::exists(file("F")));
 }
 
 TEST_F(Cli, ValidInvocationsExitZero)
@@ -334,6 +357,7 @@ TEST_F(Cli, ValidInvocationsExitZero)
          "100", "--out", "figures.json"},
         {"run", "--app", "fft", "--refs", "100"},
         {"run", "--sram", "--decay", "10", "--refs", "100"},
+        {"run", "--sram", "--refs", "100"},
         {"trace-record", "--app", "fft", "--refs", "50", "--out", "t.trc"},
         {"trace-run", "--in", "t.trc", "--refs", "50"},
     };

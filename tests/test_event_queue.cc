@@ -297,9 +297,207 @@ TEST(EventQueue, RunLimitBoundaryWithCancellations)
     EXPECT_EQ(c.fired, 3);
 }
 
+TEST(EventQueue, SameTickFifoAcrossBandChange)
+{
+    // Six events for one tick, each admitted from a different distance
+    // and so into a different band: the far band (which keeps it until
+    // the window reaches the tick, so it joins its bucket last, behind
+    // later admissions), the heap, 200 ticks out, either side of one
+    // 64-slot occupancy word, and the current bucket itself.  They must
+    // fire in the order they were scheduled.
+    EventQueue eq;
+    constexpr Tick kT = 5000;
+    std::vector<int> order;
+    auto rec = [&order](int id) {
+        return [&order, id](Tick) { order.push_back(id); };
+    };
+    eq.scheduleFn(0, [&](Tick) {
+        eq.scheduleFn(kT, [&](Tick t) {
+            order.push_back(0);
+            eq.scheduleFn(t, rec(5));
+        });
+    });
+    eq.scheduleFn(1000, [&](Tick) {
+        eq.scheduleFn(kT, rec(1));
+        eq.scheduleFn(kT - 200, [&](Tick) {
+            eq.scheduleFn(kT, rec(2));
+            eq.scheduleFn(kT - 64, [&](Tick) { eq.scheduleFn(kT, rec(3)); });
+            eq.scheduleFn(kT - 63, [&](Tick) { eq.scheduleFn(kT, rec(4)); });
+        });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(eq.now(), kT);
+}
+
 // ---------------------------------------------------------------------
 // Randomized differential test: kernel order vs reference model
 // ---------------------------------------------------------------------
+
+namespace
+{
+
+/** A self-rescheduling client's next delta: three in four land on a
+ *  band edge (either side of each 64-slot occupancy word of the
+ *  256-slot wheel, of the wheel's end, and of the 4096-tick far
+ *  horizon) or on the current tick; the rest are uniform over
+ *  [0, 8192). */
+Tick
+edgeDelta(Prng &prng)
+{
+    static constexpr Tick kEdges[] = {0,   63,  64,  127,  128,  191,
+                                      192, 255, 256, 4095, 4096};
+    constexpr std::uint32_t kNumEdges = sizeof(kEdges) / sizeof(kEdges[0]);
+    return prng.below(4) != 0 ? kEdges[prng.below(kNumEdges)]
+                              : prng.below(8192);
+}
+
+/** What a script may do to an event queue, so that one script can
+ *  drive the kernel and the reference model identically. */
+struct Scheduler
+{
+    virtual ~Scheduler() = default;
+    virtual Tick now() const = 0;
+    virtual void add(Tick when, int id, bool cancellable) = 0;
+    virtual bool cancel(int id) = 0;
+};
+
+/**
+ * The clients' behaviour: every event, when it fires, schedules up to
+ * two successors at edgeDelta() and sometimes cancels a pending
+ * cancellable event; between bounded runs the test injects more from
+ * outside.  Every choice comes from one PRNG in dispatch order, so two
+ * copies stay in lockstep exactly as long as their dispatch orders
+ * agree.
+ */
+struct Script
+{
+    explicit Script(std::uint64_t seed) : prng(seed, 11) {}
+
+    void
+    spawn(Scheduler &s, std::uint32_t count)
+    {
+        for (std::uint32_t i = 0; i < count && nextId < kBudget; ++i) {
+            const bool cancellable = prng.below(2) == 0;
+            const int id = nextId++;
+            s.add(s.now() + edgeDelta(prng), id, cancellable);
+            if (cancellable)
+                handles.push_back(id);
+        }
+        if (!handles.empty() && prng.below(4) == 0) {
+            const std::uint32_t pick =
+                prng.below(static_cast<std::uint32_t>(handles.size()));
+            cancels.push_back(s.cancel(handles[pick]));
+            handles.erase(handles.begin() + pick);
+        }
+    }
+
+    void
+    fired(Scheduler &s, int id)
+    {
+        order.push_back(id);
+        spawn(s, prng.below(3));
+    }
+
+    static constexpr int kBudget = 3000;
+    Prng prng;
+    int nextId = 0;
+    std::vector<int> handles; ///< cancellable ids not yet cancelled
+    std::vector<int> order;   ///< ids in dispatch order
+    std::vector<bool> cancels; ///< what each cancel() returned
+};
+
+/** The kernel contract in its plainest form: a list of pending events,
+ *  dispatched by least (tick, schedule order). */
+struct ReferenceScheduler : Scheduler
+{
+    struct Pending
+    {
+        Tick when;
+        std::uint64_t seq;
+        int id;
+    };
+
+    Tick now() const override { return now_; }
+
+    void
+    add(Tick when, int id, bool) override
+    {
+        pending.push_back(Pending{when, seq++, id});
+    }
+
+    bool
+    cancel(int id) override
+    {
+        for (auto it = pending.begin(); it != pending.end(); ++it)
+            if (it->id == id) {
+                pending.erase(it);
+                return true;
+            }
+        return false;
+    }
+
+    /** Dispatch everything due at or before @p limit. */
+    void
+    run(Script &script, Tick limit)
+    {
+        for (;;) {
+            auto next = pending.end();
+            for (auto it = pending.begin(); it != pending.end(); ++it)
+                if (next == pending.end() || it->when < next->when ||
+                    (it->when == next->when && it->seq < next->seq))
+                    next = it;
+            if (next == pending.end() || next->when > limit)
+                return;
+            const Pending e = *next;
+            pending.erase(next);
+            now_ = e.when;
+            script.fired(*this, e.id);
+        }
+    }
+
+    std::vector<Pending> pending;
+    std::uint64_t seq = 0;
+    Tick now_ = 0;
+};
+
+/** The kernel under test, behind the same interface. */
+struct KernelScheduler : Scheduler, EventClient
+{
+    explicit KernelScheduler(Script &s) : script(s) {}
+
+    Tick now() const override { return eq.now(); }
+
+    void
+    add(Tick when, int id, bool cancellable) override
+    {
+        if (handles.size() <= static_cast<std::size_t>(id))
+            handles.resize(static_cast<std::size_t>(id) + 1);
+        if (cancellable)
+            handles[static_cast<std::size_t>(id)] = eq.scheduleCancellable(
+                when, this, static_cast<std::uint64_t>(id));
+        else
+            eq.schedule(when, this, static_cast<std::uint64_t>(id));
+    }
+
+    bool
+    cancel(int id) override
+    {
+        return eq.cancel(handles[static_cast<std::size_t>(id)]);
+    }
+
+    void
+    fire(Tick, std::uint64_t tag) override
+    {
+        script.fired(*this, static_cast<int>(tag));
+    }
+
+    Script &script;
+    EventQueue eq;
+    std::vector<EventHandle> handles;
+};
+
+} // namespace
 
 TEST(EventQueue, DifferentialOrderAgainstReferenceModel)
 {
@@ -383,6 +581,33 @@ TEST(EventQueue, DifferentialOrderAgainstReferenceModel)
         eq.run();
         EXPECT_EQ(got, expect) << "round " << round;
         EXPECT_TRUE(eq.empty());
+    }
+
+    // Clients that reschedule themselves during dispatch, weighted onto
+    // the band edges, driven through bounded runs with injections and
+    // cancellations from outside between them.  A bounded run can leave
+    // the window ahead of now(), so an injection may land behind it.
+    for (std::uint64_t round = 0; round < 8; ++round) {
+        Script kernelScript(round), refScript(round);
+        KernelScheduler kernel(kernelScript);
+        ReferenceScheduler ref;
+        kernelScript.spawn(kernel, 8);
+        refScript.spawn(ref, 8);
+        Prng limits(round, 12);
+        while (!kernel.eq.empty()) {
+            const Tick limit = kernel.eq.now() + edgeDelta(limits);
+            kernel.eq.run(limit);
+            ref.run(refScript, limit);
+            ASSERT_EQ(kernel.eq.now(), ref.now()) << "round " << round;
+            kernelScript.spawn(kernel, 1);
+            refScript.spawn(ref, 1);
+        }
+        ref.run(refScript, kTickNever);
+        EXPECT_EQ(kernelScript.order, refScript.order) << "round " << round;
+        EXPECT_EQ(kernelScript.cancels, refScript.cancels)
+            << "round " << round;
+        EXPECT_EQ(kernelScript.nextId, Script::kBudget) << "round " << round;
+        EXPECT_TRUE(ref.pending.empty());
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "common/prng.hh"
 #include "edram/refresh_engine.hh"
 
 namespace refrint::test
@@ -16,7 +17,9 @@ namespace refrint::test
 namespace
 {
 
-/** RefreshTarget recording every action the engine takes. */
+/** RefreshTarget recording every action the engine takes.  With
+ *  @c bulk set it accepts bulk refresh charges (as the hierarchy's
+ *  adapter does) and records each as one (count, tick) call. */
 struct MockTarget : RefreshTarget
 {
     explicit MockTarget(std::uint32_t lines)
@@ -32,6 +35,14 @@ struct MockTarget : RefreshTarget
     refreshLine(std::uint32_t idx, Tick now) override
     {
         refreshed.emplace_back(idx, now);
+    }
+
+    bool supportsBulkRefresh() const override { return bulk; }
+
+    void
+    refreshLinesBulk(std::uint32_t count, Tick now) override
+    {
+        bulkRefreshed.emplace_back(count, now);
     }
 
     void
@@ -58,8 +69,9 @@ struct MockTarget : RefreshTarget
     const char *name() const override { return "mock"; }
 
     CacheArray arr;
+    bool bulk = false;
     std::vector<std::pair<std::uint32_t, Tick>> refreshed, wrote,
-        invalidated;
+        invalidated, bulkRefreshed;
     Tick busyCycles = 0;
 };
 
@@ -67,13 +79,20 @@ struct EngineFixture
 {
     EngineFixture(TimePolicy tp, DataPolicy dp, std::uint32_t n = 0,
                   std::uint32_t m = 0, std::uint32_t lines = 16,
-                  Tick retention = 1000, std::uint32_t groupSize = 1)
+                  Tick retention = 1000, std::uint32_t groupSize = 1,
+                  std::uint32_t burstLines = 4)
         : target(lines)
     {
         RefreshPolicy pol{tp, dp, n, m};
         RetentionParams ret{retention, kTickNever, {}, {}};
-        EngineGeometry geom{groupSize, 4, 4};
+        EngineGeometry geom{groupSize, 4, burstLines};
         engine = makeRefreshEngine(target, pol, ret, geom, eq, stats);
+    }
+
+    std::uint64_t
+    counter(const char *name)
+    {
+        return stats.counter(name).value();
     }
 
     /** Install a valid line at @p idx and tell the engine. */
@@ -242,6 +261,81 @@ TEST(RefrintEngine, BusyCyclesMatchServicedLines)
     EXPECT_EQ(f.target.busyCycles, 8u);
 }
 
+namespace
+{
+
+/** FNV-1a over a recorded (idx, tick) call sequence. */
+std::uint64_t
+digest(const std::vector<std::pair<std::uint32_t, Tick>> &calls)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const auto &[idx, tick] : calls) {
+        mix(idx);
+        mix(tick);
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(RefrintEngine, EqualDeadlineServiceOrderIsPinned)
+{
+    // Hundreds of sentry groups armed at one deadline: the order they
+    // are serviced in is the group heap's tie order, which a sift that
+    // broke ties differently would change (and with it the order of
+    // every refresh call and write-back the hierarchy sees).  Accesses
+    // push some deadlines out, so lazy re-keys mix with services.  The
+    // digests are those of a plain branchy first-minimum scan; they
+    // must not move.
+    struct Case
+    {
+        DataPolicy data;
+        std::uint32_t n, m, groupSize;
+        std::size_t refreshes, writebacks, invalidations;
+        std::uint64_t refreshDigest, writebackDigest, invalidateDigest;
+    };
+    const std::uint64_t none = digest({});
+    const Case cases[] = {
+        {DataPolicy::Valid, 0, 0, 1, 2041, 0, 0, 14681684476706295425ull,
+         none, none},
+        {DataPolicy::WB, 1, 1, 4, 730, 171, 497, 83179583026368391ull,
+         11957322595139294162ull, 11188747310044417249ull},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(dataPolicyName(c.data));
+        EngineFixture f(TimePolicy::Refrint, c.data, c.n, c.m, 512, 10000,
+                        c.groupSize);
+        f.engine->start(0);
+        // Install in a scrambled order (37 is coprime to 512), every
+        // third line dirty: all sentries share the first deadline.
+        for (std::uint32_t i = 0; i < 512; ++i) {
+            const std::uint32_t idx = (i * 37) % 512;
+            f.install(idx, 0, idx % 3 == 0);
+        }
+        for (std::uint32_t idx = 0; idx < 512; idx += 7)
+            f.eq.scheduleFn(5000, [&f, idx](Tick t) {
+                f.engine->onAccess(idx, t);
+            });
+        for (std::uint32_t idx = 5; idx < 512; idx += 11)
+            f.eq.scheduleFn(12000, [&f, idx](Tick t) {
+                f.engine->onAccess(idx, t);
+            });
+        f.eq.run(45000);
+        EXPECT_EQ(f.target.refreshed.size(), c.refreshes);
+        EXPECT_EQ(f.target.wrote.size(), c.writebacks);
+        EXPECT_EQ(f.target.invalidated.size(), c.invalidations);
+        EXPECT_EQ(digest(f.target.refreshed), c.refreshDigest);
+        EXPECT_EQ(digest(f.target.wrote), c.writebackDigest);
+        EXPECT_EQ(digest(f.target.invalidated), c.invalidateDigest);
+    }
+}
+
 // ---------------------------------------------------------------------
 // PeriodicEngine
 // ---------------------------------------------------------------------
@@ -317,6 +411,183 @@ TEST(PeriodicEngine, BlocksTheBankWhileRefreshing)
     f.eq.run(1000);
     EXPECT_EQ(f.target.busyCycles, 16u)
         << "refreshing a line costs one blocked cycle (Table 5.2)";
+}
+
+namespace
+{
+
+/** The counters a reference burst charges, named as the engine's. */
+struct RefCounts
+{
+    std::uint64_t refreshes = 0, writebacks = 0, invalidations = 0,
+                  skips = 0, visits = 0;
+};
+
+/**
+ * One periodic burst over [lo, hi) done the plain way, independently
+ * of the engine: visit each line in order, take Fig. 4.1's decision,
+ * act on it through @p t one call per line, and renew the clock of
+ * every line that stays alive.  A bulk-charging target sees the
+ * burst's refreshes as one (count, tick) call instead.
+ */
+void
+referenceBurst(MockTarget &t, const RefreshPolicy &pol, std::uint32_t lo,
+               std::uint32_t hi, Tick now, Tick retention, bool bulk,
+               RefCounts &c)
+{
+    std::uint32_t refreshed = 0, serviced = 0;
+    for (std::uint32_t idx = lo; idx < hi; ++idx) {
+        CacheLine &line = t.arr.lineAt(idx);
+        ++c.visits;
+        switch (decideRefresh(pol, line)) {
+          case RefreshAction::Refresh:
+            ++c.refreshes;
+            ++refreshed;
+            ++serviced;
+            if (!bulk)
+                t.refreshLine(idx, now);
+            line.dataExpiry = now + retention;
+            break;
+          case RefreshAction::Writeback:
+            ++c.writebacks;
+            ++serviced;
+            t.writebackLine(idx, now);
+            line.dataExpiry = now + retention;
+            break;
+          case RefreshAction::Invalidate:
+            ++c.invalidations;
+            t.invalidateLine(idx, now);
+            break;
+          case RefreshAction::Skip:
+            ++c.skips;
+            break;
+        }
+    }
+    if (bulk && refreshed > 0)
+        t.refreshLinesBulk(refreshed, now);
+    if (serviced > 0)
+        t.addBusy(now, serviced);
+}
+
+/** Install (or, with @p dirty, install dirty) line @p idx in a bare
+ *  target the way the engine fixture does, renewing its clock. */
+void
+referenceInstall(MockTarget &t, const RefreshPolicy &pol,
+                 std::uint32_t idx, Tick now, Tick retention, bool dirty)
+{
+    CacheLine &l = t.arr.lineAt(idx);
+    t.arr.install(VictimRef{&l, idx}, static_cast<Addr>(idx) * 64, now,
+                  dirty ? Mesi::Modified : Mesi::Shared);
+    l.dirty = dirty;
+    l.dataExpiry = now + retention;
+    noteAccess(pol, l);
+}
+
+} // namespace
+
+TEST(PeriodicEngine, BatchedBurstsMatchPerLineReference)
+{
+    // The engine's burst loops (the bulk All/Valid paths and the
+    // batched general path) against referenceBurst over random array
+    // states that change between periods: every call sequence, every
+    // line's state and clock, and every counter must agree.
+    constexpr std::uint32_t kLines = 256;
+    constexpr Tick kT = 1000;
+    constexpr std::uint32_t kBurst = 32; // 8 bursts, 125 ticks apart
+    const RefreshPolicy policies[] = {
+        RefreshPolicy::periodic(DataPolicy::All),
+        RefreshPolicy::periodic(DataPolicy::Valid),
+        RefreshPolicy::periodic(DataPolicy::Dirty),
+        RefreshPolicy::periodic(DataPolicy::WB, 2, 1),
+        RefreshPolicy::periodic(DataPolicy::WB, 1, 0),
+    };
+    for (const RefreshPolicy &pol : policies) {
+        for (const bool bulk : {false, true}) {
+            SCOPED_TRACE(pol.name() + (bulk ? " bulk" : " per-line"));
+            EngineFixture f(TimePolicy::Periodic, pol.data, pol.n, pol.m,
+                            kLines, kT, 1, kBurst);
+            f.target.bulk = bulk;
+            MockTarget ref(kLines);
+            RefCounts rc;
+            Prng prng(7, pol.n * 4 + pol.m + (bulk ? 100 : 0));
+
+            auto mutate = [&](Tick now, std::uint32_t count) {
+                for (std::uint32_t i = 0; i < count; ++i) {
+                    const std::uint32_t idx = prng.below(kLines);
+                    CacheLine &e = f.target.arr.lineAt(idx);
+                    CacheLine &r = ref.arr.lineAt(idx);
+                    switch (prng.below(4)) {
+                      case 0: { // fill, clean or dirty
+                        const bool dirty = prng.below(2) == 0;
+                        f.install(idx, now, dirty);
+                        referenceInstall(ref, pol, idx, now, kT, dirty);
+                        break;
+                      }
+                      case 1: // a write dirties a valid line
+                        if (e.valid()) {
+                            e.dirty = r.dirty = true;
+                            f.engine->onAccess(idx, now);
+                            r.dataExpiry = now + kT;
+                            noteAccess(pol, r);
+                        }
+                        break;
+                      case 2: // an eviction
+                        if (e.valid()) {
+                            f.target.arr.invalidate(e);
+                            ref.arr.invalidate(r);
+                        }
+                        break;
+                      default: // a WB countdown part-way through
+                        if (e.valid())
+                            e.count = r.count = prng.below(3);
+                        break;
+                    }
+                }
+            };
+
+            mutate(0, 200);
+            f.engine->start(0);
+            for (Tick period = 0; period < 6; ++period) {
+                for (std::uint32_t k = 0; k < kLines / kBurst; ++k)
+                    referenceBurst(ref, pol, k * kBurst, (k + 1) * kBurst,
+                                   period * kT + kT * k / 8 + 1, kT, bulk,
+                                   rc);
+                f.eq.run(period * kT + kT);
+
+                EXPECT_EQ(f.target.refreshed, ref.refreshed);
+                EXPECT_EQ(f.target.bulkRefreshed, ref.bulkRefreshed);
+                EXPECT_EQ(f.target.wrote, ref.wrote);
+                EXPECT_EQ(f.target.invalidated, ref.invalidated);
+                EXPECT_EQ(f.target.busyCycles, ref.busyCycles);
+                for (std::uint32_t idx = 0; idx < kLines; ++idx) {
+                    const CacheLine &e = f.target.arr.lineAt(idx);
+                    const CacheLine &r = ref.arr.lineAt(idx);
+                    ASSERT_EQ(e.dataExpiry, r.dataExpiry) << idx;
+                    ASSERT_EQ(e.state, r.state) << idx;
+                    ASSERT_EQ(e.dirty, r.dirty) << idx;
+                    ASSERT_EQ(e.count, r.count) << idx;
+                }
+                EXPECT_EQ(f.counter("line_refreshes"), rc.refreshes);
+                EXPECT_EQ(f.counter("refresh_writebacks"), rc.writebacks);
+                EXPECT_EQ(f.counter("refresh_invalidations"),
+                          rc.invalidations);
+                EXPECT_EQ(f.counter("refresh_skips"), rc.skips);
+                EXPECT_EQ(f.counter("refresh_visits"), rc.visits);
+                mutate(period * kT + kT, 60);
+            }
+            // The run did exercise the actions its policy can take.
+            EXPECT_GT(rc.refreshes, 0u);
+            if (pol.data != DataPolicy::All) {
+                EXPECT_GT(rc.skips, 0u);
+            }
+            if (pol.data == DataPolicy::Dirty || pol.data == DataPolicy::WB) {
+                EXPECT_GT(rc.invalidations, 0u);
+            }
+            if (pol.data == DataPolicy::WB) {
+                EXPECT_GT(rc.writebacks, 0u);
+            }
+        }
+    }
 }
 
 TEST(EngineDeath, SentryMarginMustFitRetention)

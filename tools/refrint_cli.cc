@@ -23,6 +23,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -237,6 +238,16 @@ findFlag(const std::string &name)
         if (name == f.name)
             return &f;
     return nullptr;
+}
+
+/** Whether flag @p name was given on the command line. */
+bool
+given(const Args &a, const char *name)
+{
+    for (const Flag *f : a.given)
+        if (std::strcmp(f->name, name) == 0)
+            return true;
+    return false;
 }
 
 void
@@ -541,6 +552,12 @@ machineFor(const Args &a)
     if (a.sram && a.ambientC > 0.0)
         usageError("--ambient needs an eDRAM machine; drop --sram "
                    "(SRAM retention is unlimited)");
+    if (a.sram)
+        for (const char *f : {"--policy", "--retention"})
+            if (given(a, f))
+                usageError("%s has no effect with --sram (SRAM cells "
+                           "are never refreshed); drop one of them",
+                           f);
     if (a.ambientC > 0.0)
         checkAmbient("--ambient", a.ambientC);
     if (a.decayUs > 0.0)
@@ -698,6 +715,13 @@ cmdSweepOrFigures(const Args &a, bool figures)
         if (a.sync)
             usageError("--sync applies only to a single-process sweep; "
                        "its workers append without it");
+    } else {
+        for (const char *f : {"--retries", "--worker-timeout"})
+            if (given(a, f))
+                usageError("%s applies only to sweep --workers N (a "
+                           "single-process sweep has no workers to "
+                           "retry)",
+                           f);
     }
     // The coordinator prints no report, and a machine-readable stdout
     // keeps it out.
@@ -870,6 +894,11 @@ cmdCache(const Args &a)
         usageError("cache wants the 'migrate' or 'scrub' action, e.g. "
                    "'refrint_cli cache scrub --store DIR --repair'");
     const std::string action = a.positional[0];
+    const char *other = action == "scrub" ? "--in" : "--repair";
+    if (given(a, other))
+        usageError("cache %s does not take %s (only cache %s reads it)",
+                   action.c_str(), other,
+                   action == "scrub" ? "migrate" : "scrub");
     if (a.store.empty())
         usageError("cache %s needs --store DIR (the sharded store to "
                    "%s)",
