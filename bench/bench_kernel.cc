@@ -9,7 +9,10 @@
  *  - events/sec: EventQueue schedule+dispatch throughput with a
  *    core-like population of self-rescheduling clients, a band of
  *    far-future deadlines, and cancellable-handle churn — the same mix
- *    a simulation run produces.
+ *    a simulation run produces.  A second queue (events/sec mid)
+ *    re-arms its engine-like clients 64–255 ticks out instead, the
+ *    band where sentry re-arms and miss completions land (31% of an
+ *    fft R.valid run's admissions).
  *
  *  - lookups/sec: CacheArray probe throughput (lookup + LRU touch with
  *    a miss/install mix) on the paper's L3-bank geometry with set
@@ -102,9 +105,12 @@ struct Rearmer : EventClient
 /** Kernel dispatch throughput over a simulation-like event mix.
  *  @p coreCount scales the client population the way MachineConfig
  *  scales the machine: N core-like tickers plus 4N engine-like
- *  rearmers (the paper machine's engine-to-core ratio). */
+ *  rearmers (the paper machine's engine-to-core ratio).  Rearmer i
+ *  re-arms @p horizon + @p horizonStep * (i % 16) ticks out, or half
+ *  that when it cancels and re-arms. */
 double
-benchEvents(std::uint64_t targetEvents, std::uint32_t coreCount = 16)
+benchEvents(std::uint64_t targetEvents, std::uint32_t coreCount = 16,
+            Tick horizon = 20'000, Tick horizonStep = 1'000)
 {
     EventQueue eq;
     std::vector<Ticker> cores(coreCount);
@@ -116,7 +122,8 @@ benchEvents(std::uint64_t targetEvents, std::uint32_t coreCount = 16)
     }
     for (std::size_t i = 0; i < engines.size(); ++i) {
         engines[i].eq = &eq;
-        engines[i].horizon = 20'000 + 1'000 * static_cast<Tick>(i % 16);
+        engines[i].horizon =
+            horizon + horizonStep * static_cast<Tick>(i % 16);
         engines[i].handle = eq.scheduleCancellable(
             100 + 37 * static_cast<Tick>(i), &engines[i], 0);
     }
@@ -243,6 +250,10 @@ main(int argc, char **argv)
     }
     const double eventsPerSec = curve[2];   // 16c: the headline metric
     const double eventsPerSec32 = curve[3]; // 32c: the scaling gate
+    // 16c, rearmers 128–248 ticks out (64–124 after a cancel): every
+    // engine admission lands in the wheel's 64–255-tick band.
+    benchEvents(2'000'000, 16, 128, 8);
+    const double eventsPerSecMid = benchEvents(20'000'000, 16, 128, 8);
     benchLookups(2'000'000);
     const double lookupsPerSec = benchLookups(20'000'000);
     benchLookups(2'000'000, 32);
@@ -251,6 +262,7 @@ main(int argc, char **argv)
 
     for (std::size_t i = 0; i < 5; ++i)
         std::printf("events/sec (%2uc): %.3e\n", curveCores[i], curve[i]);
+    std::printf("events/sec (mid): %.3e\n", eventsPerSecMid);
     std::printf("lookups/sec      : %.3e\n", lookupsPerSec);
     std::printf("lookups/sec (32c): %.3e\n", lookupsPerSec32);
     std::printf("peak rss         : %.0f kB\n", rssKb);
@@ -279,6 +291,7 @@ main(int argc, char **argv)
             << "  \"events_per_sec_c8\": " << curve[1] << ",\n"
             << "  \"events_per_sec_c32\": " << eventsPerSec32 << ",\n"
             << "  \"events_per_sec_c64\": " << curve[4] << ",\n"
+            << "  \"events_per_sec_mid\": " << eventsPerSecMid << ",\n"
             << "  \"lookups_per_sec\": " << lookupsPerSec << ",\n"
             << "  \"lookups_per_sec_c32\": " << lookupsPerSec32 << ",\n"
             << "  \"peak_rss_kb\": " << rssKb << ",\n"
@@ -307,6 +320,7 @@ main(int argc, char **argv)
                       {"events_per_sec_c8", curve[1]},
                       {"events_per_sec_c32", eventsPerSec32},
                       {"events_per_sec_c64", curve[4]},
+                      {"events_per_sec_mid", eventsPerSecMid},
                       {"lookups_per_sec", lookupsPerSec},
                       {"lookups_per_sec_c32", lookupsPerSec32}};
         for (const auto &c : checks) {

@@ -38,13 +38,6 @@ usToTicks(double us)
     return static_cast<Tick>(us * 1e3);
 }
 
-/** Convert nanoseconds into ticks at 1 GHz. */
-constexpr Tick
-nsToTicks(double ns)
-{
-    return static_cast<Tick>(ns);
-}
-
 /** Convert ticks into seconds of simulated time. */
 constexpr double
 ticksToSeconds(Tick t)

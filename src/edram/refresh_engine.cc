@@ -125,7 +125,6 @@ RefreshEngine::setRetentionScale(double factor, Tick now)
         }
         newCell = floor;
     }
-    scale_ = factor;
     if (newCell == cellRetention_)
         return false;
 

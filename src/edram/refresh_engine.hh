@@ -169,20 +169,10 @@ class RefreshEngine : public EventClient
      */
     bool setRetentionScale(double factor, Tick now);
 
-    /** Current retention scale factor actually applied (1.0 nominal). */
-    double retentionScale() const { return scale_; }
-
-    /** Current (possibly rescaled) data-cell retention period. */
-    Tick currentCellRetention() const { return cellRetention_; }
-
     const RefreshPolicy &policy() const { return policy_; }
 
     /** Concrete kind for devirtualized hot-path dispatch. */
     EngineKind kind() const { return kind_; }
-
-    std::uint64_t lineRefreshes() const { return refreshes_->value(); }
-    std::uint64_t writebacks() const { return wbs_->value(); }
-    std::uint64_t invalidations() const { return invals_->value(); }
 
   protected:
     /** Run the Fig. 4.1 decision for @p idx and apply the outcome.
@@ -247,7 +237,6 @@ class RefreshEngine : public EventClient
     Tick sentryRetention_; ///< current cellRetention_ - margin_
     Tick nominalCell_;     ///< retention at the reference temperature
     Tick margin_;          ///< sentry firing margin, absolute cycles
-    double scale_ = 1.0;   ///< applied retention scale factor
     bool warnedFloor_ = false;
 
     /** Per-line retention draws; empty when variation is disabled.
@@ -296,8 +285,6 @@ class PeriodicEngine : public RefreshEngine
     void fire(Tick now, std::uint64_t tag) override;
 
     bool supportsRetentionScaling() const override { return true; }
-
-    std::uint32_t numBursts() const { return numBursts_; }
 
   protected:
     /** Reschedule every burst at its phase position compressed (or
@@ -355,9 +342,6 @@ class RefrintEngine : public RefreshEngine
     void fire(Tick now, std::uint64_t tag) override;
 
     bool supportsRetentionScaling() const override { return true; }
-
-    /** Number of sentry interrupt groups (priority-encoder inputs). */
-    std::uint32_t numGroups() const { return numGroups_; }
 
   protected:
     /** Re-arm every armed group at its (re-stamped) deadline. */

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <thread>
+#include <vector>
 
 #include "common/env.hh"
 
@@ -24,76 +26,6 @@ resolveJobs(unsigned jobs)
     return env > 0 ? static_cast<unsigned>(env) : 1;
 }
 
-ThreadPool::ThreadPool(unsigned workers)
-{
-    if (workers == 0)
-        workers = 1;
-    threads_.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
-        threads_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    wait();
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
-    }
-    hasWork_.notify_all();
-    for (std::thread &t : threads_)
-        t.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        queue_.push(std::move(task));
-        ++inFlight_;
-    }
-    hasWork_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    allDone_.wait(lock, [this] { return inFlight_ == 0; });
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            hasWork_.wait(lock,
-                          [this] { return stop_ || !queue_.empty(); });
-            if (queue_.empty())
-                return; // stop_ set and nothing left to do
-            task = std::move(queue_.front());
-            queue_.pop();
-        }
-        task();
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (--inFlight_ == 0)
-                allDone_.notify_all();
-        }
-    }
-}
-
-void
-parallelFor(std::size_t n, unsigned jobs,
-            const std::function<void(std::size_t)> &fn)
-{
-    parallelForWorkers(n, jobs,
-                       [&fn](std::size_t i, unsigned) { fn(i); });
-}
-
 void
 parallelForWorkers(std::size_t n, unsigned jobs,
                    const std::function<void(std::size_t, unsigned)> &fn)
@@ -111,8 +43,7 @@ parallelForWorkers(std::size_t n, unsigned jobs,
 
     // One shared index counter: each worker claims the next undone
     // index, so load balances dynamically across uneven run times.
-    // Each submission is one worker; its submission index is the
-    // stable worker id handed to fn.
+    // Thread w hands fn the stable worker id w.
     std::atomic<std::size_t> next{0};
     auto drain = [&](unsigned w) {
         for (;;) {
@@ -123,10 +54,12 @@ parallelForWorkers(std::size_t n, unsigned jobs,
         }
     };
 
-    ThreadPool pool(jobs);
+    std::vector<std::thread> threads;
+    threads.reserve(jobs);
     for (unsigned w = 0; w < jobs; ++w)
-        pool.submit([&drain, w] { drain(w); });
-    pool.wait();
+        threads.emplace_back(drain, w);
+    for (std::thread &t : threads)
+        t.join();
 }
 
 } // namespace refrint

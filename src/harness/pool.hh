@@ -1,26 +1,21 @@
 /**
  * @file
- * A small thread pool for the sweep harness.
+ * Worker threads for the sweep harness.
  *
- * Tasks are pulled from a shared queue by whichever worker is free
- * (dynamic load balancing), so long simulations do not serialize behind
- * short ones.  parallelFor() is the only entry point the harness needs:
- * it runs indices [0, n) across up to @p jobs workers and returns when
- * every index has been processed.  With jobs <= 1 it degenerates to a
- * plain loop on the calling thread, so the serial path stays exactly
- * the serial path.
+ * parallelForWorkers() is the only entry point the harness needs: it
+ * runs indices [0, n) on up to @p jobs threads, which it starts and
+ * joins itself, and returns when every index has been processed.  The
+ * threads claim indices from one shared counter (dynamic load
+ * balancing), so long simulations do not serialize behind short ones.
+ * With jobs <= 1 it degenerates to a plain loop on the calling thread,
+ * so the serial path stays exactly the serial path.
  */
 
 #ifndef REFRINT_HARNESS_POOL_HH
 #define REFRINT_HARNESS_POOL_HH
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace refrint
 {
@@ -31,52 +26,14 @@ namespace refrint
  */
 unsigned resolveJobs(unsigned jobs = 0);
 
-class ThreadPool
-{
-  public:
-    /** Spawn @p workers threads (at least one). */
-    explicit ThreadPool(unsigned workers);
-
-    /** Waits for queued tasks, then joins the workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue one task; any free worker may claim it. */
-    void submit(std::function<void()> task);
-
-    /** Block until every submitted task has finished running. */
-    void wait();
-
-    unsigned workers() const { return static_cast<unsigned>(threads_.size()); }
-
-  private:
-    void workerLoop();
-
-    std::mutex mu_;
-    std::condition_variable hasWork_;
-    std::condition_variable allDone_;
-    std::queue<std::function<void()>> queue_;
-    std::vector<std::thread> threads_;
-    std::size_t inFlight_ = 0; ///< queued + currently executing
-    bool stop_ = false;
-};
-
 /**
- * Run @p fn(i) for every i in [0, n) on up to @p jobs threads.
+ * Run @p fn(i, worker) for every i in [0, n) on up to @p jobs threads.
  * Indices are claimed dynamically, so completion order is arbitrary —
  * callers must write results into per-index slots to stay
- * deterministic.  jobs <= 1 runs inline on the calling thread.
- */
-void parallelFor(std::size_t n, unsigned jobs,
-                 const std::function<void(std::size_t)> &fn);
-
-/**
- * Like parallelFor, but @p fn also receives a stable worker id in
- * [0, jobs): every invocation on the same thread sees the same id, so
- * callers can give each worker private scratch state (arenas, memo
- * caches) without locking.  jobs <= 1 runs inline with worker id 0.
+ * deterministic.  @p worker is a stable id in [0, jobs): every
+ * invocation on the same thread sees the same id, so callers can give
+ * each worker private scratch state (arenas, memo caches) without
+ * locking.  jobs <= 1 runs inline with worker id 0.
  */
 void parallelForWorkers(
     std::size_t n, unsigned jobs,

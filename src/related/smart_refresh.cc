@@ -15,8 +15,8 @@ SmartRefreshEngine::SmartRefreshEngine(RefreshTarget &target,
 {
     panicIf(counterBits == 0 || counterBits > 16,
             "SmartRefresh counter width out of range");
-    numPhases_ = 1u << counterBits;
-    phaseLen_ = cellRetention_ / numPhases_;
+    const std::uint32_t numPhases = 1u << counterBits;
+    phaseLen_ = cellRetention_ / numPhases;
     panicIf(phaseLen_ == 0, "retention shorter than the phase clock");
     phaseScans_ = &stats.counter("smart_phase_scans");
 }

@@ -47,9 +47,6 @@ class SmartRefreshEngine : public RefreshEngine
 
     void fire(Tick now, std::uint64_t tag) override;
 
-    std::uint32_t numPhases() const { return numPhases_; }
-    Tick phaseLength() const { return phaseLen_; }
-
   private:
     /** Stamp a full-retention deadline on line @p idx. */
     void
@@ -58,7 +55,6 @@ class SmartRefreshEngine : public RefreshEngine
         line.dataExpiry = now + cellRetentionOf(idx);
     }
 
-    std::uint32_t numPhases_;
     Tick phaseLen_;
 
     Counter *phaseScans_; ///< phase-boundary counter scans performed

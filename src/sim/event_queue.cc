@@ -4,18 +4,6 @@ namespace refrint
 {
 
 void
-EventQueue::dispatchFn(const Val &v)
-{
-    const auto idx = static_cast<std::uint32_t>(v.tag);
-    // Move the callable out and free its slab slot *before* calling:
-    // the body may schedule further one-shots (chain patterns).
-    std::function<void(Tick)> fn = std::move(fns_[idx]);
-    fns_[idx] = nullptr;
-    freeFns_.push_back(idx);
-    fn(now_);
-}
-
-void
 EventQueue::promoteFar()
 {
     // Pull everything inside the next horizon window into the heap and
@@ -85,7 +73,7 @@ EventQueue::prepareNext(Tick limit)
             return false; // base_ stays: the window has not moved
 
         if (cand < base_) {
-            // A bounded run() slid the window past now_, and a caller
+            // A bounded step() slid the window past now_, and a caller
             // then scheduled earlier (heap-routed) work.  Rewind
             // through the heap so buckets never mix ticks.
             flushWheelToHeap();
@@ -104,55 +92,6 @@ EventQueue::prepareNext(Tick limit)
         }
         return true;
     }
-}
-
-Tick
-EventQueue::run(Tick limit)
-{
-    for (;;) {
-        const ArenaVector<Entry> &b = bucketOf(base_);
-        bool dispatched = false;
-        while (pos_ < b.size()) {
-            const Entry e = b[pos_]; // copy: fire() may grow b
-            if (dead(e.key)) {
-                ++pos_;
-                continue; // cancelled: melts, time does not advance
-            }
-            if (e.key.when > limit)
-                return now_; // left pending for the next run()
-            ++pos_;
-            dispatch(e.key, e.val);
-            dispatched = true;
-            break;
-        }
-        if (dispatched)
-            continue; // re-read the bucket: fire() may have grown it
-        if (!prepareNext(limit))
-            return now_;
-    }
-}
-
-void
-EventQueue::clear()
-{
-    for (auto &b : wheel_)
-        b.clear();
-    occ_.fill(0);
-    base_ = 0;
-    pos_ = 0;
-    keys_.clear();
-    vals_.clear();
-    far_.clear();
-    farMin_ = kTickNever;
-    fns_.clear();
-    freeFns_.clear();
-    slotLive_.clear();
-    freeSlots_.clear();
-    live_ = 0;
-    now_ = 0;
-    // seq_ deliberately survives: ordering is relative, and keeping it
-    // monotonic guarantees a pre-clear EventHandle can never alias a
-    // post-clear event that recycles its slot.
 }
 
 } // namespace refrint

@@ -2,10 +2,16 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * A single global-ordered queue of (tick, sequence) entries.  Components
- * either derive from EventClient and schedule themselves, or enqueue
- * one-shot lambdas.  Sequence numbers break ties so simultaneous events
- * fire in scheduling order, which makes runs fully deterministic.
+ * A single global-ordered queue of (tick, sequence) entries.  Every
+ * event is an EventClient callback: a component derives from
+ * EventClient and schedules itself with a tag, so an entry is a
+ * (client, tag) pair and dispatch never touches a std::function.
+ * Sequence numbers break ties so simultaneous events fire in
+ * scheduling order, which makes runs fully deterministic.
+ *
+ * step() is the only dispatch loop: the simulator calls it directly,
+ * and run() is nothing more than step() repeated, so every test that
+ * drives run() drives the loop production runs.
  *
  * Hot-path layout, three bands by time-to-fire:
  *
@@ -29,10 +35,6 @@
  *    promotion into the heap, keeping the heap at core-count scale
  *    instead of holding every retention deadline.
  *
- * The 99% case (an EventClient callback) never touches a
- * std::function; one-shot lambdas are parked in a side slab and
- * referenced by index.
- *
  * Cancellation is lazy and O(1): a handle names a slot stamped with its
  * event's sequence number; cancel() retires the stamp and the dead
  * entry is skipped (without advancing time) when it surfaces.
@@ -46,7 +48,7 @@
  *    fresh entries);
  *  - user code only runs during dispatch, when now_ == base_, so a
  *    schedule() can never target a bucket behind the window;
- *  - a bounded run() that leaves base_ ahead of now_ may later see an
+ *  - a bounded step() that leaves base_ ahead of now_ may later see an
  *    admission behind the window; it lands in the heap and a backward
  *    window move flushes the wheel through the heap first, so buckets
  *    never mix ticks.
@@ -57,9 +59,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <utility>
-#include <vector>
 
 #include "common/arena.hh"
 #include "common/log.hh"
@@ -106,13 +105,13 @@ struct EventHandle
 class EventQueue
 {
   public:
-    /** @p arena, when non-null, backs the kernel's bands and slabs so
-     *  a worker can recycle them across runs (common/arena.hh). */
+    /** @p arena, when non-null, backs the kernel's bands and slot
+     *  table so a worker can recycle them across runs
+     *  (common/arena.hh). */
     explicit EventQueue(Arena *arena = nullptr)
         : keys_(ArenaAllocator<Key>(arena)),
           vals_(ArenaAllocator<Val>(arena)),
           far_(ArenaAllocator<Entry>(arena)),
-          freeFns_(ArenaAllocator<std::uint32_t>(arena)),
           slotLive_(ArenaAllocator<std::uint32_t>(arena)),
           freeSlots_(ArenaAllocator<std::uint32_t>(arena))
     {
@@ -161,25 +160,11 @@ class EventQueue
     bool
     cancel(const EventHandle &h)
     {
-        // The size check also covers handles that predate a clear():
-        // clear() empties the slot table, spending every handle.
-        if (!h.pending() || h.slot >= slotLive_.size() ||
-            slotLive_[h.slot] != h.seq)
+        if (!h.pending() || slotLive_[h.slot] != h.seq)
             return false; // inert, already fired, or already cancelled
         freeSlot(h.slot);
         --live_;
         return true;
-    }
-
-    /** Schedule a one-shot callable. */
-    void
-    scheduleFn(Tick when, std::function<void(Tick)> fn)
-    {
-        panicIf(when < now_, "event scheduled in the past");
-        const std::uint32_t idx = allocFn(std::move(fn));
-        admit(Key{when, nextSeq(), EventHandle::kNoSlot},
-              Val{nullptr, idx});
-        ++live_;
     }
 
     /** Current simulation time (last dispatched event's tick). */
@@ -189,34 +174,48 @@ class EventQueue
     bool empty() const { return live_ == 0; }
     std::size_t size() const { return live_; }
 
-    /** Dispatch the single earliest live event.  @return false if no
-     *  live event remains.  Inline: this is the simulation main loop. */
+    /**
+     * Dispatch the single earliest live event if it is due at or
+     * before @p limit (an event at exactly @p limit still fires).
+     * The kernel's only dispatch loop; inline, since it is the
+     * simulation's main loop.
+     * @return false, dispatching nothing, when no live event is due
+     * by @p limit; later events stay pending for the next call.
+     */
     bool
-    step()
+    step(Tick limit = kTickNever)
     {
         for (;;) {
             const ArenaVector<Entry> &b = bucketOf(base_);
             while (pos_ < b.size()) {
-                const Entry e = b[pos_++]; // copy: fire() may grow b
-                if (dead(e.key))
+                const Entry e = b[pos_]; // copy: fire() may grow b
+                if (dead(e.key)) {
+                    ++pos_;
                     continue; // cancelled: melts, time does not advance
+                }
+                if (e.key.when > limit)
+                    return false;
+                ++pos_;
                 dispatch(e.key, e.val);
                 return true;
             }
-            if (!prepareNext(kTickNever))
+            if (!prepareNext(limit))
                 return false;
         }
     }
 
     /**
-     * Run until the queue drains or simulated time would pass @p limit.
-     * Events scheduled at exactly @p limit still fire.
+     * step(@p limit) until it returns false: until the queue drains or
+     * the next live event lies past @p limit.
      * @return the final simulation time.
      */
-    Tick run(Tick limit = kTickNever);
-
-    /** Drop all pending events (used between experiment runs). */
-    void clear();
+    Tick
+    run(Tick limit = kTickNever)
+    {
+        while (step(limit)) {
+        }
+        return now_;
+    }
 
   private:
     /** Ordering key, 16 bytes: four keys per cache line, so the sift
@@ -238,7 +237,7 @@ class EventQueue
      *  read during sift comparisons. */
     struct Val
     {
-        EventClient *client; ///< nullptr => one-shot fn; tag = fn index
+        EventClient *client;
         std::uint64_t tag;
     };
 
@@ -284,7 +283,7 @@ class EventQueue
     /** Route a new entry to the wheel, the near heap or the far band.
      *  Callers run either before the first dispatch or inside one, so
      *  now_ == base_ and `when - base_` cannot underflow for any
-     *  admissible when — except after a bounded run() left base_ ahead
+     *  admissible when — except after a bounded step() left base_ ahead
      *  of now_, where the underflow wraps huge and correctly routes
      *  the entry to the heap (see prepareNext's backward-move flush). */
     void
@@ -429,7 +428,7 @@ class EventQueue
         return kTickNever;
     }
 
-    /** Rare slow path: a bounded run() slid the window past now_ and a
+    /** Rare slow path: a bounded step() slid the window past now_ and a
      *  caller then scheduled behind it — push every bucketed entry back
      *  through the heap so the window can move backward without ever
      *  mixing ticks in a bucket. */
@@ -462,19 +461,6 @@ class EventQueue
         freeSlots_.push_back(slot);
     }
 
-    std::uint32_t
-    allocFn(std::function<void(Tick)> fn)
-    {
-        if (!freeFns_.empty()) {
-            const std::uint32_t i = freeFns_.back();
-            freeFns_.pop_back();
-            fns_[i] = std::move(fn);
-            return i;
-        }
-        fns_.push_back(std::move(fn));
-        return static_cast<std::uint32_t>(fns_.size() - 1);
-    }
-
     /** Dispatch a live entry (already consumed from its bucket). */
     void
     dispatch(const Key &k, const Val &v)
@@ -483,14 +469,8 @@ class EventQueue
         now_ = k.when;
         if (k.slot != EventHandle::kNoSlot)
             freeSlot(k.slot); // the handle is spent once the event fires
-        if (v.client != nullptr)
-            v.client->fire(now_, v.tag);
-        else
-            dispatchFn(v);
+        v.client->fire(now_, v.tag);
     }
-
-    /** One-shot slab path, out of line (the rare case). */
-    void dispatchFn(const Val &v);
 
     /** Timing wheel: bucket (t & 255) holds the entries of absolute
      *  tick t for t in [base_, base_+255], each bucket seq-sorted. */
@@ -504,8 +484,6 @@ class EventQueue
     ArenaVector<Val> vals_; ///< mid band payloads, parallel to keys_
     ArenaVector<Entry> far_; ///< far band (unsorted; batch-promoted)
     Tick farMin_ = kTickNever; ///< earliest `when` in the far band
-    std::vector<std::function<void(Tick)>> fns_; ///< one-shot slab
-    ArenaVector<std::uint32_t> freeFns_;
     ArenaVector<std::uint32_t> slotLive_; ///< live event seq per slot
     ArenaVector<std::uint32_t> freeSlots_;
     std::size_t live_ = 0;

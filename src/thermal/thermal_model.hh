@@ -137,7 +137,6 @@ class ThermalDriver : public EventClient
     void fire(Tick now, std::uint64_t) override;
 
     std::size_t numNodes() const { return nodes_.size(); }
-    double nodeTempC(std::size_t i) const { return nodes_[i].rc.tempC(); }
 
     /** Hottest temperature any node reached so far. */
     double maxTempC() const { return maxTempC_; }

@@ -133,8 +133,6 @@ class SyntheticWorkload : public Workload
                                                  seed);
     }
 
-    const AppProfile &profile() const { return prof_; }
-
   private:
     AppProfile prof_;
 };

@@ -12,6 +12,7 @@
 
 #include "common/prng.hh"
 #include "sim/event_queue.hh"
+#include "test_util.hh"
 
 namespace refrint::test
 {
@@ -19,10 +20,11 @@ namespace refrint::test
 TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue eq;
+    OneShots shots(eq);
     std::vector<Tick> fired;
-    eq.scheduleFn(30, [&](Tick t) { fired.push_back(t); });
-    eq.scheduleFn(10, [&](Tick t) { fired.push_back(t); });
-    eq.scheduleFn(20, [&](Tick t) { fired.push_back(t); });
+    shots.at(30, [&](Tick t) { fired.push_back(t); });
+    shots.at(10, [&](Tick t) { fired.push_back(t); });
+    shots.at(20, [&](Tick t) { fired.push_back(t); });
     eq.run();
     ASSERT_EQ(fired.size(), 3u);
     EXPECT_EQ(fired[0], 10u);
@@ -33,9 +35,10 @@ TEST(EventQueue, FiresInTimeOrder)
 TEST(EventQueue, SameTickFifoOrder)
 {
     EventQueue eq;
+    OneShots shots(eq);
     std::vector<int> order;
     for (int i = 0; i < 8; ++i)
-        eq.scheduleFn(5, [&order, i](Tick) { order.push_back(i); });
+        shots.at(5, [&order, i](Tick) { order.push_back(i); });
     eq.run();
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[i], i);
@@ -44,8 +47,9 @@ TEST(EventQueue, SameTickFifoOrder)
 TEST(EventQueue, NowAdvancesWithDispatch)
 {
     EventQueue eq;
+    OneShots shots(eq);
     EXPECT_EQ(eq.now(), 0u);
-    eq.scheduleFn(42, [](Tick) {});
+    shots.at(42, [](Tick) {});
     eq.run();
     EXPECT_EQ(eq.now(), 42u);
 }
@@ -53,12 +57,13 @@ TEST(EventQueue, NowAdvancesWithDispatch)
 TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue eq;
+    OneShots shots(eq);
     int count = 0;
     std::function<void(Tick)> chain = [&](Tick t) {
         if (++count < 5)
-            eq.scheduleFn(t + 10, chain);
+            shots.at(t + 10, chain);
     };
-    eq.scheduleFn(0, chain);
+    shots.at(0, chain);
     eq.run();
     EXPECT_EQ(count, 5);
     EXPECT_EQ(eq.now(), 40u);
@@ -67,10 +72,11 @@ TEST(EventQueue, EventsCanScheduleEvents)
 TEST(EventQueue, RunLimitStopsBeforeLaterEvents)
 {
     EventQueue eq;
+    OneShots shots(eq);
     int fired = 0;
-    eq.scheduleFn(10, [&](Tick) { ++fired; });
-    eq.scheduleFn(20, [&](Tick) { ++fired; });
-    eq.scheduleFn(30, [&](Tick) { ++fired; });
+    shots.at(10, [&](Tick) { ++fired; });
+    shots.at(20, [&](Tick) { ++fired; });
+    shots.at(30, [&](Tick) { ++fired; });
     eq.run(20);
     EXPECT_EQ(fired, 2); // the tick-20 event still fires
     EXPECT_FALSE(eq.empty());
@@ -106,27 +112,38 @@ TEST(EventQueue, ClientDispatchCarriesTags)
 TEST(EventQueue, StepReturnsFalseWhenEmpty)
 {
     EventQueue eq;
+    OneShots shots(eq);
     EXPECT_FALSE(eq.step());
-    eq.scheduleFn(1, [](Tick) {});
+    shots.at(1, [](Tick) {});
     EXPECT_TRUE(eq.step());
     EXPECT_FALSE(eq.step());
 }
 
-TEST(EventQueue, ClearResets)
+TEST(EventQueue, StepThenBoundedRunKeepsTheTickFifo)
 {
+    // step() stops mid-tick; a bounded run() must neither dispatch the
+    // rest of that tick early nor lose its place in it.
     EventQueue eq;
-    eq.scheduleFn(10, [](Tick) {});
-    eq.clear();
+    OneShots shots(eq);
+    std::vector<int> order;
+    for (int i = 0; i < 4; ++i)
+        shots.at(10, [&order, i](Tick) { order.push_back(i); });
+    EXPECT_TRUE(eq.step());
+    EXPECT_EQ(order, (std::vector<int>{0}));
+    EXPECT_EQ(eq.run(5), 10u) << "the rest of tick 10 lies past 5";
+    EXPECT_EQ(order, (std::vector<int>{0}));
+    EXPECT_EQ(eq.run(10), 10u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
     EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.now(), 0u);
 }
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)
 {
     EventQueue eq;
-    eq.scheduleFn(100, [](Tick) {});
+    OneShots shots(eq);
+    shots.at(100, [](Tick) {});
     eq.run();
-    EXPECT_DEATH(eq.scheduleFn(50, [](Tick) {}), "past");
+    EXPECT_DEATH(shots.at(50, [](Tick) {}), "past");
 }
 
 // ---------------------------------------------------------------------
@@ -135,10 +152,11 @@ TEST(EventQueueDeath, SchedulingInThePastPanics)
 
 TEST(EventQueue, SameTickFifoAcrossManyEventsAndKinds)
 {
-    // Hundreds of same-tick events, mixing one-shot fns, plain client
-    // events and cancellable ones: dispatch must stay in scheduling
-    // order across every internal path (near heap, fn slab, slots).
+    // Hundreds of same-tick events, mixing one-shot callbacks, plain
+    // client events and cancellable ones: dispatch must stay in
+    // scheduling order whatever client or slot each entry carries.
     EventQueue eq;
+    OneShots shots(eq);
     std::vector<int> order;
     struct Rec : EventClient
     {
@@ -154,7 +172,7 @@ TEST(EventQueue, SameTickFifoAcrossManyEventsAndKinds)
     for (int i = 0; i < 300; ++i) {
         switch (i % 3) {
           case 0:
-            eq.scheduleFn(7, [&order, i](Tick) { order.push_back(i); });
+            shots.at(7, [&order, i](Tick) { order.push_back(i); });
             break;
           case 1:
             eq.schedule(7, &rec, static_cast<std::uint64_t>(i));
@@ -176,15 +194,16 @@ TEST(EventQueue, FarFutureEventsInterleaveCorrectly)
     // Events far beyond the near/far split must still dispatch in
     // global (tick, seq) order with near events scheduled later.
     EventQueue eq;
+    OneShots shots(eq);
     std::vector<Tick> fired;
     auto rec = [&](Tick t) { fired.push_back(t); };
-    eq.scheduleFn(1'000'000, rec); // far band
-    eq.scheduleFn(500'000, rec);   // far band
-    eq.scheduleFn(3, rec);         // near heap
-    eq.scheduleFn(0, [&](Tick t) {
+    shots.at(1'000'000, rec); // far band
+    shots.at(500'000, rec);   // far band
+    shots.at(3, rec);         // near heap
+    shots.at(0, [&](Tick t) {
         fired.push_back(t);
         // Scheduled mid-run: lands between the two far events.
-        eq.scheduleFn(750'000, rec);
+        shots.at(750'000, rec);
     });
     eq.run();
     ASSERT_EQ(fired.size(), 5u);
@@ -251,22 +270,6 @@ TEST(EventQueue, CancelledSlotReuseCannotAliasNewEvent)
     EXPECT_FALSE(eq.cancel(fresh));
 }
 
-TEST(EventQueue, CancelAfterClearIsSpent)
-{
-    // clear() resets the slot table; handles issued before it must be
-    // inert afterwards (not index out of bounds, not kill new events).
-    EventQueue eq;
-    CountingClient c;
-    EventHandle stale = eq.scheduleCancellable(10, &c, 0);
-    eq.clear();
-    EXPECT_FALSE(eq.cancel(stale));
-    EventHandle fresh = eq.scheduleCancellable(10, &c, 0);
-    EXPECT_FALSE(eq.cancel(stale));
-    eq.run();
-    EXPECT_EQ(c.fired, 1);
-    EXPECT_FALSE(eq.cancel(fresh));
-}
-
 TEST(EventQueue, CancelDeepInFarBand)
 {
     // Far-band entries are lazily deleted too: cancel a far event and
@@ -297,6 +300,34 @@ TEST(EventQueue, RunLimitBoundaryWithCancellations)
     EXPECT_EQ(c.fired, 3);
 }
 
+TEST(EventQueue, BackwardWindowMoveKeepsTickOrder)
+{
+    // A bounded run that only melts a cancelled event slides the window
+    // onto that event's tick without advancing now().  Work scheduled
+    // after it, behind the window, must make the window move backward
+    // (through the heap) and still dispatch in (tick, seq) order.  The
+    // tick-340 event sits in the wheel at 100 + 240 but lies past the
+    // rewound window's end (50 + 255): unless the move flushes the
+    // wheel, its bucket would be read as tick 84.
+    EventQueue eq;
+    TagRecorder rec;
+    const EventHandle h = eq.scheduleCancellable(100, &rec, 0);
+    eq.schedule(300, &rec, 1);
+    eq.schedule(300, &rec, 2);
+    eq.schedule(340, &rec, 6);
+    EXPECT_TRUE(eq.cancel(h));
+    EXPECT_EQ(eq.run(150), 0u);
+    EXPECT_TRUE(rec.seen.empty());
+    eq.schedule(50, &rec, 3);
+    eq.schedule(50, &rec, 4);
+    eq.schedule(300, &rec, 5);
+    eq.run();
+    using Fired = std::vector<std::pair<Tick, std::uint64_t>>;
+    EXPECT_EQ(rec.seen, (Fired{{50, 3}, {50, 4}, {300, 1}, {300, 2},
+                               {300, 5}, {340, 6}}));
+    EXPECT_TRUE(eq.empty());
+}
+
 TEST(EventQueue, SameTickFifoAcrossBandChange)
 {
     // Six events for one tick, each admitted from a different distance
@@ -306,23 +337,24 @@ TEST(EventQueue, SameTickFifoAcrossBandChange)
     // 64-slot occupancy word, and the current bucket itself.  They must
     // fire in the order they were scheduled.
     EventQueue eq;
+    OneShots shots(eq);
     constexpr Tick kT = 5000;
     std::vector<int> order;
     auto rec = [&order](int id) {
         return [&order, id](Tick) { order.push_back(id); };
     };
-    eq.scheduleFn(0, [&](Tick) {
-        eq.scheduleFn(kT, [&](Tick t) {
+    shots.at(0, [&](Tick) {
+        shots.at(kT, [&](Tick t) {
             order.push_back(0);
-            eq.scheduleFn(t, rec(5));
+            shots.at(t, rec(5));
         });
     });
-    eq.scheduleFn(1000, [&](Tick) {
-        eq.scheduleFn(kT, rec(1));
-        eq.scheduleFn(kT - 200, [&](Tick) {
-            eq.scheduleFn(kT, rec(2));
-            eq.scheduleFn(kT - 64, [&](Tick) { eq.scheduleFn(kT, rec(3)); });
-            eq.scheduleFn(kT - 63, [&](Tick) { eq.scheduleFn(kT, rec(4)); });
+    shots.at(1000, [&](Tick) {
+        shots.at(kT, rec(1));
+        shots.at(kT - 200, [&](Tick) {
+            shots.at(kT, rec(2));
+            shots.at(kT - 64, [&](Tick) { shots.at(kT, rec(3)); });
+            shots.at(kT - 63, [&](Tick) { shots.at(kT, rec(4)); });
         });
     });
     eq.run();

@@ -10,6 +10,7 @@
 
 #include "common/prng.hh"
 #include "edram/refresh_engine.hh"
+#include "test_util.hh"
 
 namespace refrint::test
 {
@@ -110,6 +111,7 @@ struct EngineFixture
 
     MockTarget target;
     EventQueue eq;
+    OneShots shots{eq};
     StatGroup stats{"eng"};
     std::unique_ptr<RefreshEngine> engine;
 };
@@ -142,7 +144,7 @@ TEST(RefrintEngine, AccessDefersTheSentry)
     f.engine->start(0);
     f.install(3, 0);
     // Touch the line at 500: next decay moves to 1484.
-    f.eq.scheduleFn(500, [&](Tick t) { f.engine->onAccess(3, t); });
+    f.shots.at(500, [&](Tick t) { f.engine->onAccess(3, t); });
     f.eq.run(1483);
     EXPECT_TRUE(f.target.refreshed.empty());
     f.eq.run(1484);
@@ -157,7 +159,7 @@ TEST(RefrintEngine, HotLineNeverExplicitlyRefreshed)
     f.install(5, 0);
     // Touch every 400 ticks, well under the 984-tick sentry retention.
     for (Tick t = 400; t <= 4000; t += 400)
-        f.eq.scheduleFn(t, [&](Tick now) { f.engine->onAccess(5, now); });
+        f.shots.at(t, [&](Tick now) { f.engine->onAccess(5, now); });
     f.eq.run(4000);
     EXPECT_TRUE(f.target.refreshed.empty())
         << "accesses auto-refresh; the sentry must keep deferring";
@@ -245,7 +247,7 @@ TEST(RefrintEngine, GroupFiresAtEarliestMemberDeadline)
     f.install(0, 0);
     // Second member installed later: group still fires at the first
     // member's deadline, refreshing both (the grouping cost).
-    f.eq.scheduleFn(500, [&](Tick t) { f.install(1, t); });
+    f.shots.at(500, [&](Tick t) { f.install(1, t); });
     f.eq.run(984);
     EXPECT_EQ(f.target.refreshed.size(), 2u);
 }
@@ -319,11 +321,11 @@ TEST(RefrintEngine, EqualDeadlineServiceOrderIsPinned)
             f.install(idx, 0, idx % 3 == 0);
         }
         for (std::uint32_t idx = 0; idx < 512; idx += 7)
-            f.eq.scheduleFn(5000, [&f, idx](Tick t) {
+            f.shots.at(5000, [&f, idx](Tick t) {
                 f.engine->onAccess(idx, t);
             });
         for (std::uint32_t idx = 5; idx < 512; idx += 11)
-            f.eq.scheduleFn(12000, [&f, idx](Tick t) {
+            f.shots.at(12000, [&f, idx](Tick t) {
                 f.engine->onAccess(idx, t);
             });
         f.eq.run(45000);
@@ -372,7 +374,7 @@ TEST(PeriodicEngine, EagerlyRefreshesRecentlyAccessedLines)
     f.engine->start(0);
     f.install(0, 0);
     for (Tick t = 100; t <= 2000; t += 100)
-        f.eq.scheduleFn(t, [&](Tick now) { f.engine->onAccess(0, now); });
+        f.shots.at(t, [&](Tick now) { f.engine->onAccess(0, now); });
     f.eq.run(2100);
     EXPECT_GE(f.target.refreshed.size(), 2u)
         << "periodic refreshes hot lines anyway";

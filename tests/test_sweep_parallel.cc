@@ -134,8 +134,10 @@ TEST(PoolTest, ParallelForCoversEveryIndexOnce)
     std::vector<std::atomic<int>> hits(257);
     for (auto &h : hits)
         h = 0;
-    parallelFor(hits.size(), 8,
-                [&](std::size_t i) { hits[i].fetch_add(1); });
+    parallelForWorkers(hits.size(), 8, [&](std::size_t i, unsigned w) {
+        hits[i].fetch_add(1);
+        EXPECT_LT(w, 8u) << "worker ids lie in [0, jobs)";
+    });
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << i;
 }
@@ -143,7 +145,10 @@ TEST(PoolTest, ParallelForCoversEveryIndexOnce)
 TEST(PoolTest, SerialFallbackRunsInline)
 {
     std::size_t count = 0; // unguarded: jobs=1 must stay on this thread
-    parallelFor(100, 1, [&](std::size_t) { ++count; });
+    parallelForWorkers(100, 1, [&](std::size_t, unsigned worker) {
+        EXPECT_EQ(worker, 0u);
+        ++count;
+    });
     EXPECT_EQ(count, 100u);
 }
 
