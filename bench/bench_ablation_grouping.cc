@@ -28,8 +28,7 @@ main()
     std::printf("%-10s %16s %14s %12s\n", "groupSize", "encoderInputs",
                 "l3_refreshes", "memE(J)");
     for (std::uint32_t g : {1u, 4u, 16u, 64u, 256u}) {
-        HierarchyConfig cfg =
-            HierarchyConfig::paperEdram(pol, usToTicks(50.0));
+        MachineConfig cfg = MachineConfig::paperEdram(pol, usToTicks(50.0));
         cfg.llc().engine.sentryGroupSize = g;
         RunResult r = runOnce(cfg, *app, sim);
         const std::uint32_t inputs =

@@ -31,8 +31,7 @@ main()
     // down to a 64-line bound a calibrated process could justify.
     for (Tick margin : {Tick{16384}, Tick{8192}, Tick{4096}, Tick{1024},
                         Tick{256}, Tick{64}}) {
-        HierarchyConfig cfg =
-            HierarchyConfig::paperEdram(pol, usToTicks(50.0));
+        MachineConfig cfg = MachineConfig::paperEdram(pol, usToTicks(50.0));
         cfg.retention.sentryMargin = margin;
         RunResult r = runOnce(cfg, *app, sim);
         std::printf("%-14llu %16llu %14llu %12.5f\n",

@@ -30,7 +30,7 @@ main()
     if (app == nullptr)
         return 1;
 
-    const RunResult base = runOnce(HierarchyConfig::paperSram(), *app, sim);
+    const RunResult base = runOnce(MachineConfig::paperSram(), *app, sim);
 
     std::printf("# Variation ablation: fft, 50 us nominal retention, "
                 "floor 70%%\n");
@@ -43,7 +43,7 @@ main()
             RefreshPolicy::periodic(DataPolicy::Valid),
             RefreshPolicy::refrint(DataPolicy::Valid)};
         for (int i = 0; i < 2; ++i) {
-            HierarchyConfig cfg = HierarchyConfig::paperEdram(
+            MachineConfig cfg = MachineConfig::paperEdram(
                 pols[i], usToTicks(50.0));
             cfg.retention.variation.enabled = sigma > 0.0;
             cfg.retention.variation.sigma = sigma;

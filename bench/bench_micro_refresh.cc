@@ -65,7 +65,7 @@ BM_SimulatorThroughput(benchmark::State &state)
     UniformWorkload app(16 * 1024, 0.3);
     SimParams sim;
     sim.refsPerCore = static_cast<std::uint64_t>(state.range(0));
-    const HierarchyConfig cfg =
+    const MachineConfig cfg =
         tinyEdram(RefreshPolicy::refrint(DataPolicy::WB, 8, 8));
     std::uint64_t refs = 0;
     for (auto _ : state) {

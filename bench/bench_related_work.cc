@@ -30,7 +30,7 @@ using namespace refrint;
 struct Contender
 {
     std::string label;
-    HierarchyConfig cfg;
+    MachineConfig cfg;
     EnergyParams energy = EnergyParams::calibrated();
 };
 
@@ -38,27 +38,27 @@ std::vector<Contender>
 contenders(Tick retention)
 {
     std::vector<Contender> v;
-    v.push_back({"SRAM", HierarchyConfig::paperSram()});
+    v.push_back({"SRAM", MachineConfig::paperSram()});
     v.push_back({"SRAM+decay",
-                 HierarchyConfig::paperSramDecay(usToTicks(100.0))});
-    v.push_back({"P.all", HierarchyConfig::paperEdram(
+                 MachineConfig::paperSramDecay(usToTicks(100.0))});
+    v.push_back({"P.all", MachineConfig::paperEdram(
                               RefreshPolicy::periodic(DataPolicy::All),
                               retention)});
     for (EccScheme s : {EccScheme::Secded, EccScheme::Strong}) {
         Contender c{std::string("P.all+") + eccSchemeName(s),
-                    HierarchyConfig::paperEdram(
+                    MachineConfig::paperEdram(
                         RefreshPolicy::periodic(DataPolicy::All),
                         retention)};
         applyEcc(s, c.cfg, c.energy);
         v.push_back(std::move(c));
     }
     v.push_back({"S.valid",
-                 HierarchyConfig::paperEdram(
+                 MachineConfig::paperEdram(
                      RefreshPolicy{TimePolicy::SmartRefresh,
                                    DataPolicy::Valid, 0, 0},
                      retention)});
     v.push_back({"R.WB(32,32)",
-                 HierarchyConfig::paperEdram(
+                 MachineConfig::paperEdram(
                      RefreshPolicy::refrint(DataPolicy::WB, 32, 32),
                      retention)});
     return v;
@@ -86,8 +86,7 @@ main()
         if (app == nullptr)
             continue;
 
-        const RunResult base =
-            runOnce(HierarchyConfig::paperSram(), *app, sim);
+        const RunResult base = runOnce(MachineConfig::paperSram(), *app, sim);
 
         std::printf("\n## %s (class %d)\n", app->name(),
                     app->paperClass());

@@ -31,15 +31,14 @@ main()
 
     for (const char *name : reps) {
         const Workload *app = findWorkload(name);
-        const RunResult sram =
-            runOnce(HierarchyConfig::paperSram(), *app, sim);
+        const RunResult sram = runOnce(MachineConfig::paperSram(), *app, sim);
         std::printf("\n== %s (paper Class %d) ==\n", app->name(),
                     app->paperClass());
         std::printf("%-14s %10s %10s %12s\n", "policy", "memEnergy",
                     "time", "refreshE/mem");
         for (const RefreshPolicy &pol : policies) {
             const RunResult r = runOnce(
-                HierarchyConfig::paperEdram(pol, usToTicks(50.0)), *app,
+                MachineConfig::paperEdram(pol, usToTicks(50.0)), *app,
                 sim);
             const NormalizedResult n = normalize(r, sram);
             std::printf("%-14s %10.3f %10.3f %12.3f\n",

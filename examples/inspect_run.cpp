@@ -34,10 +34,10 @@ main(int argc, char **argv)
         std::fprintf(stderr, "unknown app '%s'\n", appName);
         return 1;
     }
-    HierarchyConfig cfg =
+    MachineConfig cfg =
         polName == "SRAM"
-            ? HierarchyConfig::paperSram()
-            : HierarchyConfig::paperEdram(parsePolicy(polName),
+            ? MachineConfig::paperSram()
+            : MachineConfig::paperEdram(parsePolicy(polName),
                                           usToTicks(retUs));
 
     SimParams sim;

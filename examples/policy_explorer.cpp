@@ -34,8 +34,7 @@ main(int argc, char **argv)
     SimParams sim;
     sim.refsPerCore = 30'000;
 
-    const RunResult sram =
-        runOnce(HierarchyConfig::paperSram(), *app, sim);
+    const RunResult sram = runOnce(MachineConfig::paperSram(), *app, sim);
 
     struct Row
     {
@@ -44,7 +43,7 @@ main(int argc, char **argv)
     std::vector<Row> rows;
     for (const RefreshPolicy &pol : paperPolicySweep()) {
         const RunResult r = runOnce(
-            HierarchyConfig::paperEdram(pol, usToTicks(retUs)), *app,
+            MachineConfig::paperEdram(pol, usToTicks(retUs)), *app,
             sim);
         rows.push_back({normalize(r, sram)});
     }

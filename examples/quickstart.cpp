@@ -5,7 +5,7 @@
  * energy/time comparison.
  *
  * This exercises the whole public API in ~40 lines:
- *   HierarchyConfig  -> the machine (Table 5.1)
+ *   MachineConfig    -> the machine (Table 5.1)
  *   RefreshPolicy    -> what/when to refresh (Table 3.1)
  *   runOnce()        -> one simulation
  *   normalize()      -> the paper's normalized metrics
@@ -29,14 +29,13 @@ main()
     sim.refsPerCore = 30'000; // short demo run
 
     // 1) Full-SRAM baseline.
-    const RunResult sram =
-        runOnce(HierarchyConfig::paperSram(), *app, sim);
+    const RunResult sram = runOnce(MachineConfig::paperSram(), *app, sim);
 
     // 2) Full-eDRAM with the paper's best policy at 50 us retention.
     const RefreshPolicy best = RefreshPolicy::refrint(DataPolicy::WB,
                                                       32, 32);
     const RunResult edram = runOnce(
-        HierarchyConfig::paperEdram(best, usToTicks(50.0)), *app, sim);
+        MachineConfig::paperEdram(best, usToTicks(50.0)), *app, sim);
 
     const NormalizedResult n = normalize(edram, sram);
 

@@ -20,8 +20,7 @@ main()
     SimParams sim;
     sim.refsPerCore = 30'000;
 
-    const RunResult sram =
-        runOnce(HierarchyConfig::paperSram(), *app, sim);
+    const RunResult sram = runOnce(MachineConfig::paperSram(), *app, sim);
 
     std::printf("# %s: P.valid vs R.valid across retention times\n",
                 app->name());
@@ -33,7 +32,7 @@ main()
             pol.time = tp;
             pol.data = DataPolicy::Valid;
             const RunResult r = runOnce(
-                HierarchyConfig::paperEdram(pol, usToTicks(retUs)),
+                MachineConfig::paperEdram(pol, usToTicks(retUs)),
                 *app, sim);
             const NormalizedResult n = normalize(r, sram);
             std::printf("%-10.0f %-10s %12llu %10.3f %10.3f\n", retUs,

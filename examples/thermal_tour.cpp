@@ -45,8 +45,7 @@ main()
     const Workload *app = findWorkload("fft");
     SimParams sim;
     sim.refsPerCore = 20'000;
-    const RunResult sram =
-        runOnce(HierarchyConfig::paperSram(), *app, sim);
+    const RunResult sram = runOnce(MachineConfig::paperSram(), *app, sim);
 
     std::printf("\n# %s @ 50 us nominal retention, cool vs hot die\n",
                 app->name());
@@ -57,7 +56,7 @@ main()
              {RefreshPolicy::periodic(DataPolicy::All),
               RefreshPolicy::refrint(DataPolicy::WB, 32, 32)}) {
             const RunResult r =
-                runOnce(HierarchyConfig::paperEdramThermal(
+                runOnce(MachineConfig::paperEdramThermal(
                             pol, usToTicks(50.0), ambient),
                         *app, sim);
             const NormalizedResult n = normalize(r, sram);

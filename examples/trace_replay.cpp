@@ -35,7 +35,7 @@ main()
 
     // 2. Replay it and compare with the generator-driven run.
     TraceWorkload replay(loadTrace(path), "radix.trc");
-    const HierarchyConfig cfg = HierarchyConfig::paperEdram(
+    const MachineConfig cfg = MachineConfig::paperEdram(
         RefreshPolicy::refrint(DataPolicy::WB, 32, 32), usToTicks(50.0));
 
     const RunResult direct = runOnce(cfg, *app, sim);
@@ -51,7 +51,7 @@ main()
 
     // 3. The same trace drives any other machine configuration.
     const RunResult periodic = runOnce(
-        HierarchyConfig::paperEdram(
+        MachineConfig::paperEdram(
             RefreshPolicy::periodic(DataPolicy::All), usToTicks(50.0)),
         replay, sim);
     std::printf("same trace under P.all: %.3f mJ (%.2fx the R.WB time)\n",

@@ -232,9 +232,9 @@ JsonLinesSink::consume(const ExperimentPlan &plan, std::size_t index,
     }
     o += "}\n";
 
-    // A dropped row would silently desynchronize downstream consumers
-    // (coordinator merge offsets, salvage line counts), so any write
-    // failure — full disk, closed pipe — is fatal here, not deferred.
+    // A dropped row would leave a stream one row short that still
+    // parses as complete, so any write failure — full disk, closed
+    // pipe — is fatal here, not deferred.
     // Non-strict sinks (serve) tolerate it; the caller checks ferror().
     if ((std::fwrite(o.data(), 1, o.size(), out_) != o.size() ||
          std::ferror(out_)) &&

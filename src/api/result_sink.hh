@@ -91,11 +91,11 @@ class JsonLinesSink : public ResultSink
   public:
     /**
      * @p strict (the default) makes any row write failure fatal with
-     * the stream offset — right for files and pipes feeding the
-     * coordinator merge, where a silently dropped row desynchronizes
-     * salvage line counts and merge offsets.  Pass false for
-     * best-effort streams (a serve client that hangs up mid-response
-     * must not kill the service); the caller then checks ferror().
+     * the stream offset — right for files and pipes, where a silently
+     * dropped row leaves a stream that looks complete but is not.
+     * Pass false for best-effort streams (a serve client that hangs up
+     * mid-response must not kill the service); the caller then checks
+     * ferror().
      */
     explicit JsonLinesSink(std::FILE *out, bool strict = true)
         : out_(out), strict_(strict)

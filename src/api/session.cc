@@ -163,8 +163,8 @@ Session::run(const ExperimentPlan &plan,
             // exact, upper-level split by the documented closure —
             // energy_model.hh).  The fresh path below applies the same
             // closure, so a warm reload is byte-identical to the run
-            // that produced the row (coordinator salvage depends on
-            // this).
+            // that produced the row (a killed sweep resumed from its
+            // store depends on this).
             WorkerCtx &ctx = ctxs[worker];
             auto [mit, minserted] =
                 ctx.machines.try_emplace(machineMemoKey(sc));

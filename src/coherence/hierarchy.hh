@@ -31,9 +31,9 @@
 #include <string>
 #include <vector>
 
-#include "coherence/hierarchy_config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "config/machine_config.hh"
 #include "dram/dram.hh"
 #include "mem/cache_unit.hh"
 #include "net/torus.hh"

@@ -237,10 +237,6 @@ std::uint32_t torusDimFor(std::uint32_t tiles);
  */
 std::string machineIdFor(std::uint32_t cores, bool hybrid);
 
-/** Backwards-compatible name: the machine config grew out of the old
- *  fixed-shape HierarchyConfig. */
-using HierarchyConfig = MachineConfig;
-
 } // namespace refrint
 
 #endif // REFRINT_CONFIG_MACHINE_CONFIG_HH

@@ -69,7 +69,7 @@ EccModel::accessEnergyFactor() const
 }
 
 void
-applyEcc(EccScheme scheme, HierarchyConfig &cfg, EnergyParams &energy)
+applyEcc(EccScheme scheme, MachineConfig &cfg, EnergyParams &energy)
 {
     const EccModel m{scheme};
     panicIf(cfg.llc().tech != CellTech::Edram,

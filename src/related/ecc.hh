@@ -19,7 +19,7 @@
 
 #include <cstdint>
 
-#include "coherence/hierarchy_config.hh"
+#include "config/machine_config.hh"
 #include "energy/energy_params.hh"
 
 namespace refrint
@@ -58,8 +58,7 @@ struct EccModel
  * the L3 coefficients of @p energy.  L1/L2 are left alone — the paper's
  * refresh problem (and the codes' payoff) live in the large shared LLC.
  */
-void applyEcc(EccScheme scheme, HierarchyConfig &cfg,
-              EnergyParams &energy);
+void applyEcc(EccScheme scheme, MachineConfig &cfg, EnergyParams &energy);
 
 } // namespace refrint
 

@@ -1,10 +1,6 @@
 #include "service/faults.hh"
 
-#include <csignal>
 #include <cstdlib>
-#include <cstring>
-
-#include <time.h>
 
 #include "common/env.hh"
 #include "common/log.hh"
@@ -16,8 +12,9 @@ namespace
 {
 
 const char *const kKnownPoints[] = {
-    "worker.crash",     "worker.hang",       "worker.slow",
-    "store.torn_write", "store.short_write", "serve.drop_conn",
+    "store.torn_write",
+    "store.short_write",
+    "serve.drop_conn",
 };
 
 bool
@@ -47,29 +44,18 @@ FaultPlan::FaultPlan(const std::string &spec)
         if (at == std::string::npos || at == 0)
             fatal("REFRINT_FAULTS: entry '%s' is not point@ordinal",
                   entry.c_str());
-        FaultSpec f;
+        Spec f;
         f.point = entry.substr(0, at);
         if (!knownPoint(f.point))
             fatal("REFRINT_FAULTS: unknown fault point '%s' (known: "
-                  "worker.crash, worker.hang, worker.slow, "
                   "store.torn_write, store.short_write, "
                   "serve.drop_conn)",
                   f.point.c_str());
-        std::string args = entry.substr(at + 1);
-        std::string extra;
-        const auto colon = args.find(':');
-        if (colon != std::string::npos) {
-            extra = args.substr(colon + 1);
-            args = args.substr(0, colon);
-        }
-        if (!parseU64Strict(args.c_str(), f.arg))
+        const std::string arg = entry.substr(at + 1);
+        if (!parseU64Strict(arg.c_str(), f.arg))
             fatal("REFRINT_FAULTS: '%s' wants a decimal ordinal after "
                   "'@', got '%s'",
-                  entry.c_str(), args.c_str());
-        if (!extra.empty() && !parseU64Strict(extra.c_str(), f.extra))
-            fatal("REFRINT_FAULTS: '%s' wants a decimal value after "
-                  "':', got '%s'",
-                  entry.c_str(), extra.c_str());
+                  entry.c_str(), arg.c_str());
         specs_.push_back(std::move(f));
     }
 }
@@ -106,46 +92,12 @@ FaultPlan::reloadGlobalForTest()
 }
 
 bool
-FaultPlan::at(const char *point, std::uint64_t ordinal,
-              std::uint64_t *extra) const
+FaultPlan::at(const char *point, std::uint64_t ordinal) const
 {
-    for (const FaultSpec &f : specs_) {
-        if (f.arg == ordinal && f.point == point) {
-            if (extra != nullptr)
-                *extra = f.extra;
+    for (const Spec &f : specs_)
+        if (f.arg == ordinal && f.point == point)
             return true;
-        }
-    }
     return false;
-}
-
-void
-maybeInjectWorkerFault(std::size_t globalIndex)
-{
-    const FaultPlan &plan = FaultPlan::global();
-    if (plan.empty())
-        return;
-    const char *attempt = std::getenv("REFRINT_WORKER_ATTEMPT");
-    if (attempt != nullptr && std::strcmp(attempt, "0") != 0)
-        return; // retried workers always run clean
-
-    const std::uint64_t idx = globalIndex;
-    std::uint64_t ms = 0;
-    if (plan.at("worker.crash", idx))
-        std::raise(SIGKILL);
-    if (plan.at("worker.hang", idx)) {
-        // Sleep forever (until the coordinator's deadline SIGKILLs us);
-        // a loop because nanosleep returns on any signal with a handler.
-        for (;;) {
-            timespec ts{3600, 0};
-            ::nanosleep(&ts, nullptr);
-        }
-    }
-    if (plan.at("worker.slow", idx, &ms) && ms > 0) {
-        timespec ts{static_cast<time_t>(ms / 1000),
-                    static_cast<long>((ms % 1000) * 1000000)};
-        ::nanosleep(&ts, nullptr);
-    }
 }
 
 } // namespace refrint

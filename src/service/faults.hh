@@ -5,20 +5,12 @@
  * A fault plan is a comma-separated schedule of named fault points,
  * parsed from $REFRINT_FAULTS (or a literal string in tests):
  *
- *     worker.crash@IDX       SIGKILL right before emitting the row for
- *                            global plan index IDX (attempt 0 only)
- *     worker.hang@IDX        hang forever before emitting that row
- *                            (attempt 0 only; exercises the
- *                            coordinator's progress deadline)
- *     worker.slow@IDX:MS     sleep MS milliseconds before emitting
- *                            that row (attempt 0 only; must NOT trip
- *                            the deadline — workers that are merely
- *                            slow survive)
  *     store.torn_write@N     the N-th shard append (0-based, counted
  *                            per store instance) writes only a prefix
  *                            of its record, then the process SIGKILLs
  *                            itself — a crash mid-write, leaving a
- *                            torn line for scrub to find
+ *                            torn line for scrub to find and a store
+ *                            that a rerun resumes from
  *     store.short_write@N    the N-th shard append writes a prefix and
  *                            then reports a short write(2) — exercises
  *                            the ENOSPC fatal path
@@ -28,10 +20,10 @@
  *                            conversation
  *
  * Every recovery path the service claims to have is exercised by
- * scheduling the corresponding fault in a test or the CI chaos job and
+ * scheduling the corresponding fault in a test or a CI smoke step and
  * asserting the system's output is unchanged.  Fault points are pure
- * queries — each instrumented site passes its own ordinal (plan index,
- * append count, request count), so a schedule fires deterministically
+ * queries — each instrumented site passes its own ordinal (append
+ * count, request count), so a schedule fires deterministically
  * regardless of thread or process interleaving.
  *
  * An unset/empty $REFRINT_FAULTS yields an empty plan; every check is
@@ -48,14 +40,6 @@
 namespace refrint
 {
 
-/** One scheduled fault: `point@arg` or `point@arg:extra`. */
-struct FaultSpec
-{
-    std::string point;       ///< e.g. "worker.crash"
-    std::uint64_t arg = 0;   ///< the @ordinal it fires at
-    std::uint64_t extra = 0; ///< the optional :value (e.g. slow ms)
-};
-
 class FaultPlan
 {
   public:
@@ -63,9 +47,10 @@ class FaultPlan
     FaultPlan() = default;
 
     /**
-     * Parse @p spec ("worker.crash@5,worker.slow@2:40").  A malformed
-     * entry is fatal (exit 1) — a chaos schedule that silently
-     * half-applies would "pass" tests without testing anything.
+     * Parse @p spec ("store.torn_write@5,serve.drop_conn@2").  A
+     * malformed entry is fatal (exit 1) — a chaos schedule that
+     * silently half-applies would "pass" tests without testing
+     * anything.
      */
     explicit FaultPlan(const std::string &spec);
 
@@ -75,33 +60,27 @@ class FaultPlan
     /**
      * Re-parse $REFRINT_FAULTS into the global plan.  For tests that
      * setenv() after the cached plan was first touched (e.g. a forked
-     * child inheriting the parent gtest process's empty plan); real
-     * workers are fresh exec()s and never need it.  Not thread-safe —
-     * call before any concurrency starts.
+     * child inheriting the parent gtest process's empty plan); a fresh
+     * process parses it on first use and never needs it.  Not
+     * thread-safe — call before any concurrency starts.
      */
     static void reloadGlobalForTest();
 
-    /** True when `point@ordinal` is scheduled; @p extra (if non-null)
-     *  receives the spec's :value. */
-    bool at(const char *point, std::uint64_t ordinal,
-            std::uint64_t *extra = nullptr) const;
+    /** True when `point@ordinal` is scheduled. */
+    bool at(const char *point, std::uint64_t ordinal) const;
 
     bool empty() const { return specs_.empty(); }
 
-    const std::vector<FaultSpec> &specs() const { return specs_; }
-
   private:
-    std::vector<FaultSpec> specs_;
-};
+    /** One scheduled fault: `point@arg`. */
+    struct Spec
+    {
+        std::string point;     ///< e.g. "store.torn_write"
+        std::uint64_t arg = 0; ///< the @ordinal it fires at
+    };
 
-/**
- * The worker-side fault site: called with each row's global plan index
- * right before it is emitted.  Applies worker.crash / worker.hang /
- * worker.slow from the global plan — but only on worker attempt 0
- * ($REFRINT_WORKER_ATTEMPT unset or "0"), so a retried worker always
- * runs clean and recovery can be asserted.
- */
-void maybeInjectWorkerFault(std::size_t globalIndex);
+    std::vector<Spec> specs_;
+};
 
 } // namespace refrint
 

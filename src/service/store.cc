@@ -152,10 +152,11 @@ ShardedStore::ShardedStore(std::string dir, unsigned shards,
         doc.set("version", JsonValue::number(kStoreVersion));
         doc.set("shards",
                 JsonValue::number(static_cast<double>(shards_)));
-        // Processes may create the same store at once (a coordinator's
-        // workers): publish the whole manifest with link(2), which
-        // fails if another process published first — whose manifest
-        // then wins — so no process ever reads a partly written one.
+        // Processes may create the same store at once (concurrent
+        // sweeps over one --store): publish the whole manifest with
+        // link(2), which fails if another process published first —
+        // whose manifest then wins — so no process ever reads a partly
+        // written one.
         const std::string path = manifestPath(dir_);
         const std::string tmp =
             path + ".tmp." + std::to_string(::getpid());

@@ -2,10 +2,9 @@
  * @file
  * refrint_cli end to end: the flags each command accepts, the usage
  * errors its flag list generates (exit 2, naming the command), a few
- * valid invocations, and the coordinator's promise that
- * `sweep --workers N` streams the rows a single-process --jobs 1 run
- * does, with --alt too.  Each test runs the built binary (REFRINT_CLI)
- * in a private temp directory that is also its $TMPDIR.
+ * valid invocations, and --alt re-keying a replayed plan's rows the
+ * way it re-keys the built-in grid's.  Each test runs the built binary
+ * (REFRINT_CLI) in a private temp directory that is also its $TMPDIR.
  */
 
 #include <cstdlib>
@@ -33,9 +32,8 @@ const std::map<std::string, std::string> kAccepted = {
     {"trace-run", "--in --policy --retention --refs --seed --cores "
                   "--hybrid --sram --alt --decay --ambient"},
     {"trace-record", "--app --out --refs --seed --cores"},
-    {"sweep", "--plan --app --refs --cores --hybrid --alt --workers "
-              "--retries --worker-timeout --jsonl --csv --progress "
-              "--store --sync --jobs"},
+    {"sweep", "--plan --app --refs --cores --hybrid --alt --jsonl --csv "
+              "--progress --store --sync --jobs"},
     {"figures", "--plan --app --refs --cores --hybrid --alt --jsonl "
                 "--csv --progress --store --sync --jobs"},
     {"thermal-study", "--plan --app --retention --ambients --refs --seed "
@@ -43,7 +41,6 @@ const std::map<std::string, std::string> kAccepted = {
                       "--sync --jobs"},
     {"plan", "--out --app --retention --ambients --refs --seed --cores "
              "--hybrid"},
-    {"worker", "--plan --range --store --jobs"},
     {"serve", "--socket --port --store --jobs --max-queue "
               "--request-timeout --idle-timeout"},
     {"submit", "--socket --port --plan"},
@@ -177,7 +174,7 @@ TEST_F(Cli, HelpNamesExactlyTheFlagsEachCommandAccepts)
         pairs += words(flags).size();
     }
     EXPECT_EQ(listed, expected);
-    EXPECT_EQ(pairs, 96u);
+    EXPECT_EQ(pairs, 89u);
 
     // Each command's options section names exactly its flags.
     for (const std::string &cmd : listed) {
@@ -200,8 +197,11 @@ TEST_F(Cli, EveryUnlistedFlagIsAUsageErrorNamingTheCommand)
     for (const auto &[cmd, flags] : kAccepted)
         for (const std::string &f : words(flags))
             all.insert(f);
-    ASSERT_EQ(all.size(), 32u);
-    all.insert("--cache"); // removed; unknown everywhere
+    ASSERT_EQ(all.size(), 28u);
+    // Removed flags are unknown everywhere.
+    for (const char *removed :
+         {"--cache", "--workers", "--retries", "--worker-timeout", "--range"})
+        all.insert(removed);
     for (const auto &[cmd, flags] : kAccepted) {
         const std::set<std::string> takes = words(flags);
         for (const std::string &f : all) {
@@ -227,8 +227,6 @@ TEST_F(Cli, RejectedInvocationsExitTwo)
             {{"sweep", "--policy", "P.all"}, "sweep does not take --policy"},
             {{"thermal-study", "--alt"}, "thermal-study does not take --alt"},
             {{"plan", "dump", "--alt"}, "plan does not take --alt"},
-            {{"figures", "--workers", "2"},
-             "figures does not take --workers"},
             {{"run", "--app", "fft", "--app", "lu"}, "run takes one --app"},
             {{"thermal-study", "--app", "fft", "--app", "lu"},
              "thermal-study takes one --app"},
@@ -252,8 +250,8 @@ TEST_F(Cli, RejectedInvocationsExitTwo)
              "--sram"},
             {{"run", "--sram", "--decay", "-5"}, "> 0"},
             {{"run", "--sram", "--decay", "0"}, "> 0"},
-            // Flags the SRAM machine, a single-process sweep or the
-            // other cache action would ignore.
+            // Flags the SRAM machine or the other cache action would
+            // ignore.
             {{"run", "--sram", "--policy", "P.all", "--retention", "200",
               "--refs", "200"},
              "--policy has no effect with --sram"},
@@ -265,11 +263,6 @@ TEST_F(Cli, RejectedInvocationsExitTwo)
             {{"trace-run", "--in", "missing.trc", "--retention", "200",
               "--sram"},
              "--retention has no effect with --sram"},
-            {{"sweep", "--app", "fft", "--refs", "100", "--retries", "5",
-              "--worker-timeout", "1", "--jsonl", "F"},
-             "--retries applies only to sweep --workers N"},
-            {{"sweep", "--worker-timeout", "1"},
-             "--worker-timeout applies only to sweep --workers N"},
             {{"cache", "scrub", "--store", "x", "--in", "F"},
              "cache scrub does not take --in"},
             {{"cache", "migrate", "--in", "F", "--store", "x", "--repair"},
@@ -278,13 +271,10 @@ TEST_F(Cli, RejectedInvocationsExitTwo)
             {{"trace-record"}, "trace-record needs --out"},
             {{"trace-record", "--app", "fft"}, "trace-record needs --out"},
             {{"trace-run"}, "trace-run needs --in"},
-            {{"worker", "--plan", "p.json"}, "--range A:B"},
-            {{"worker", "--range", "0:1"}, "worker needs --plan"},
             {{"serve"}, "exactly one of --socket"},
             {{"submit", "--socket", "s"}, "submit needs --plan"},
             {{"cache", "--store", "x"}, "'migrate' or 'scrub'"},
             {{"cache", "migrate", "--store", "x"}, "needs --in"},
-            {{"sweep", "--workers", "2"}, "add --jsonl"},
             // Stray arguments.
             {{"list", "extra"}, "list: unexpected argument 'extra'"},
             {{"run", "extra"}, "run: unexpected argument 'extra'"},
@@ -310,6 +300,8 @@ TEST_F(Cli, RejectedInvocationsExitTwo)
             {{"sweep", "--jsonl", "-", "--csv", "-"}, "only one of"},
             // The exit-code checks CI has always made.
             {{"bogus-command"}, "unknown command 'bogus-command'"},
+            {{"worker", "--plan", "p.json", "--range", "0:1"},
+             "unknown command 'worker'"},
             {{"help", "bogus"}, "unknown command 'bogus'"},
             {{"run", "--refs", "not-a-number"}, "--refs wants"},
             {{"run", "--store", "x"}, "run does not take --store"},
@@ -320,18 +312,14 @@ TEST_F(Cli, RejectedInvocationsExitTwo)
              "submit does not take --store"},
             {{"sweep", "--cache", "x"}, "sweep does not take --cache"},
             {{"sweep", "--sync"}, "--sync needs --store"},
-            {{"worker", "--plan", "p.json", "--range", "0:1", "--store",
-              "x", "--sync"},
-             "worker does not take --sync"},
             {{"serve", "--socket", "s", "--store", "x", "--sync"},
              "serve does not take --sync"},
             {{"cache", "scrub", "--store", "x", "--sync"},
              "cache does not take --sync"},
             {{"validate", "--store", "x", "--sync"},
              "validate does not take --sync"},
-            {{"sweep", "--workers", "2", "--store", "x", "--sync",
-              "--jsonl", "-"},
-             "--sync applies only to a single-process sweep"},
+            {{"sweep", "--workers", "2", "--jsonl", "-"},
+             "sweep does not take --workers"},
             {{"validate"}, "validate needs --store"},
             {{"validate", "--store", "a", "--cache", "b"},
              "validate does not take --cache"},
@@ -376,36 +364,25 @@ TEST_F(Cli, ValidInvocationsExitZero)
     EXPECT_NE(thermal.out.find("\"seed\": 7"), std::string::npos);
 }
 
-TEST_F(Cli, WorkersWithAltStreamTheRowsOfOneProcess)
+TEST_F(Cli, AltRekeysAReplayedPlanLikeTheBuiltInGrid)
 {
-    const Outcome single =
+    const Outcome grid =
         run({"sweep", "--app", "fft", "--refs", "100", "--alt", "--jobs",
-             "1", "--jsonl", "single.jsonl"});
-    ASSERT_EQ(single.code, 0) << single.err;
-    const Outcome workers =
-        run({"sweep", "--app", "fft", "--refs", "100", "--alt",
-             "--workers", "2", "--jsonl", "workers.jsonl"});
-    ASSERT_EQ(workers.code, 0) << workers.err;
-    const std::string rows = readFile(file("single.jsonl"));
+             "1", "--jsonl", "grid.jsonl"});
+    ASSERT_EQ(grid.code, 0) << grid.err;
+    const std::string rows = readFile(file("grid.jsonl"));
     EXPECT_NE(rows.find("|en="), std::string::npos);
-    EXPECT_EQ(readFile(file("workers.jsonl")), rows);
 
-    // The same holds for a plan file, which --alt re-keys as well.
+    // A plan file carries no energy tag; --alt re-keys it as well.
     ASSERT_EQ(run({"plan", "dump", "--app", "fft", "--refs", "100",
                    "--out", "plan.json"})
                   .code,
               0);
     const Outcome planned =
-        run({"sweep", "--plan", "plan.json", "--alt", "--workers", "3",
+        run({"sweep", "--plan", "plan.json", "--alt", "--jobs", "1",
              "--jsonl", "planned.jsonl"});
     ASSERT_EQ(planned.code, 0) << planned.err;
     EXPECT_EQ(readFile(file("planned.jsonl")), rows);
-
-    // The plan the workers loaded went to $TMPDIR and was removed.
-    for (const auto &entry : std::filesystem::directory_iterator(dir_))
-        EXPECT_EQ(entry.path().filename().string().rfind("refrint-", 0),
-                  std::string::npos)
-            << entry.path();
 }
 
 } // namespace

@@ -150,7 +150,7 @@ TEST(CoreSystem, FetchTrafficHitsThePaperSizedIL1)
     UniformWorkload app(8 * 1024, 0.3);
     SimParams sim;
     sim.refsPerCore = 5000; // long enough to amortize cold misses
-    CmpSystem sys(HierarchyConfig::paperSram(), app, sim);
+    CmpSystem sys(MachineConfig::paperSram(), app, sim);
     sys.run();
 
     std::map<std::string, double> m;

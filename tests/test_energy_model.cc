@@ -38,7 +38,7 @@ sampleCounts()
 
 TEST(EnergyModel, LevelAndComponentViewsSumIdentically)
 {
-    const auto cfg = HierarchyConfig::paperEdram(
+    const auto cfg = MachineConfig::paperEdram(
         RefreshPolicy::refrint(DataPolicy::Valid), usToTicks(50.0));
     const auto e = computeEnergy(EnergyParams::calibrated(),
                                  sampleCounts(), cfg,
@@ -58,10 +58,10 @@ TEST(EnergyModel, EdramLeakageIsAQuarterOfSram)
     const Tick t = usToTicks(500.0);
 
     const auto sram = computeEnergy(EnergyParams::calibrated(), n,
-                                    HierarchyConfig::paperSram(), t, 0);
+                                    MachineConfig::paperSram(), t, 0);
     const auto edram = computeEnergy(
         EnergyParams::calibrated(), n,
-        HierarchyConfig::paperEdram(
+        MachineConfig::paperEdram(
             RefreshPolicy::refrint(DataPolicy::Valid), usToTicks(50.0)),
         t, 0);
 
@@ -72,7 +72,7 @@ TEST(EnergyModel, RefreshEnergyEqualsAccessEnergyPerLine)
 {
     // Table 5.2: refreshing a line costs exactly one access.  Compare a
     // run with k refreshes against one with k extra reads at each level.
-    const auto cfg = HierarchyConfig::paperEdram(
+    const auto cfg = MachineConfig::paperEdram(
         RefreshPolicy::refrint(DataPolicy::Valid), usToTicks(50.0));
     const Tick t = usToTicks(100.0);
 
@@ -97,7 +97,7 @@ TEST(EnergyModel, RefreshEnergyEqualsAccessEnergyPerLine)
 
 TEST(EnergyModel, EnergyScalesLinearlyWithCounts)
 {
-    const auto cfg = HierarchyConfig::paperSram();
+    const auto cfg = MachineConfig::paperSram();
     const Tick t = usToTicks(100.0);
 
     HierarchyCounts n = sampleCounts();
@@ -120,7 +120,7 @@ TEST(EnergyModel, EnergyScalesLinearlyWithCounts)
 
 TEST(EnergyModel, LeakageScalesLinearlyWithTime)
 {
-    const auto cfg = HierarchyConfig::paperSram();
+    const auto cfg = MachineConfig::paperSram();
     const HierarchyCounts n;
     const auto e1 =
         computeEnergy(EnergyParams::calibrated(), n, cfg, usToTicks(100.0), 0);
@@ -145,8 +145,7 @@ TEST(EnergyModel, SramL1EnergyIsMostlyDynamic)
     SimParams sim;
     sim.refsPerCore = 60'000; // warm caches; cold-start stalls inflate
                               // the leakage share on very short runs
-    const RunResult r =
-        runOnce(HierarchyConfig::paperSram(), *fft, sim);
+    const RunResult r = runOnce(MachineConfig::paperSram(), *fft, sim);
 
     const double l1Dyn =
         static_cast<double>(r.counts.l1Reads + r.counts.l1Writes) *
@@ -162,8 +161,7 @@ TEST(EnergyModel, SramL3CarriesTheMajorityOfOnChipMemoryEnergy)
     ASSERT_NE(fft, nullptr);
     SimParams sim;
     sim.refsPerCore = 20'000;
-    const RunResult r =
-        runOnce(HierarchyConfig::paperSram(), *fft, sim);
+    const RunResult r = runOnce(MachineConfig::paperSram(), *fft, sim);
 
     const double onChip = r.energy.l1 + r.energy.l2 + r.energy.l3;
     EXPECT_GT(r.energy.l3 / onChip, 0.5);

@@ -215,7 +215,7 @@ TEST(HierarchyRefresh, L2RefreshWritebackDowngradesModifiedToExclusive)
 {
     // The upper levels run the pinned Valid policy by default, which
     // never writes back; pin them to WB to exercise the L2 path.
-    HierarchyConfig cfg =
+    MachineConfig cfg =
         tinyEdram(RefreshPolicy::refrint(DataPolicy::WB, 1, 8));
     cfg.setUpperDataPolicy(DataPolicy::WB);
     EventQueue eq;
@@ -353,7 +353,7 @@ class PolicySoundness
 TEST_P(PolicySoundness, NoDecayedHitsAndInvariantsHold)
 {
     const RefreshPolicy pol = GetParam();
-    HierarchyConfig cfg = tinyEdram(pol, usToTicks(5.0));
+    MachineConfig cfg = tinyEdram(pol, usToTicks(5.0));
     EventQueue eq;
     Hierarchy hier(cfg, eq);
     hier.start(0);

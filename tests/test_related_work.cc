@@ -27,7 +27,7 @@ constexpr Addr kA = 0x10000;
 /** Hierarchy harness mirroring the one in test_hierarchy_refresh.cc. */
 struct Harness
 {
-    explicit Harness(const HierarchyConfig &cfg) : hier(cfg, eq)
+    explicit Harness(const MachineConfig &cfg) : hier(cfg, eq)
     {
         hier.start(0);
     }
@@ -96,7 +96,7 @@ TEST(SmartRefresh, QuantizesRefreshEarlierThanRefrint)
     // Refrint's sentry fires within its (much smaller, for the tiny
     // machine) margin of the true deadline.  Over a long idle window
     // SmartRefresh therefore refreshes at least as often.
-    HierarchyConfig sCfg = tinyEdram(
+    MachineConfig sCfg = tinyEdram(
         RefreshPolicy{TimePolicy::SmartRefresh, DataPolicy::Valid, 0, 0});
     sCfg.llc().engine.smartCounterBits = 2; // coarse: 25% early quantization
     Harness s(sCfg);
@@ -128,7 +128,7 @@ TEST(SmartRefresh, ComposesWithWBDataPolicy)
 
 TEST(SmartRefresh, SoundUnderRandomTraffic)
 {
-    HierarchyConfig cfg = tinyEdram(
+    MachineConfig cfg = tinyEdram(
         RefreshPolicy{TimePolicy::SmartRefresh, DataPolicy::WB, 4, 4});
     EventQueue eq;
     Hierarchy hier(cfg, eq);
@@ -156,10 +156,10 @@ TEST(SmartRefresh, SoundUnderRandomTraffic)
 // Cache decay
 // ---------------------------------------------------------------------
 
-HierarchyConfig
+MachineConfig
 tinyDecay(Tick interval)
 {
-    HierarchyConfig c = tinyConfig(CellTech::Sram);
+    MachineConfig c = tinyConfig(CellTech::Sram);
     c.decay.enabled = true;
     c.decay.interval = interval;
     return c;
@@ -244,7 +244,7 @@ TEST(CacheDecay, CostsExtraDramAccesses)
 
 TEST(CacheDecay, SoundUnderRandomTraffic)
 {
-    HierarchyConfig cfg = tinyDecay(usToTicks(3.0));
+    MachineConfig cfg = tinyDecay(usToTicks(3.0));
     EventQueue eq;
     Hierarchy hier(cfg, eq);
     hier.start(0);
@@ -287,7 +287,7 @@ TEST(EccModel, OverheadsAreMonotonicInCodeStrength)
 
 TEST(EccModel, ApplyExtendsRetentionAndInflatesL3Coefficients)
 {
-    HierarchyConfig cfg = HierarchyConfig::paperEdram(
+    MachineConfig cfg = MachineConfig::paperEdram(
         RefreshPolicy::periodic(DataPolicy::All), usToTicks(50.0));
     EnergyParams ep = EnergyParams::calibrated();
     const double leak0 = ep.leakL3Bank;
@@ -307,13 +307,13 @@ TEST(EccModel, EccReducesRefreshEnergyOfPeriodicAll)
     // energy even after paying the check-bit overheads.
     UniformWorkload app(16 * 1024, 0.3);
 
-    HierarchyConfig base = tinyEdram(
+    MachineConfig base = tinyEdram(
         RefreshPolicy::periodic(DataPolicy::All), usToTicks(5.0));
     SimParams sim;
     sim.refsPerCore = 8000;
     const RunResult plain = runOnce(base, app, sim);
 
-    HierarchyConfig ecc = base;
+    MachineConfig ecc = base;
     EnergyParams ep = EnergyParams::calibrated();
     applyEcc(EccScheme::Secded, ecc, ep);
     const RunResult coded = runOnce(ecc, app, sim, ep);

@@ -2,13 +2,11 @@
  * @file
  * Tests for the experiment service (src/service/): record framing,
  * the sharded result store (concurrent writers, torn tails, legacy
- * migration), scrub & repair, the range worker, the coordinator's
- * retry/deadline/salvage contract under injected faults
- * ($REFRINT_FAULTS), and the serve loop's overload control (queue
- * shedding, idle timeout, SIGTERM drain).  The multi-process tests
- * fork real children — the same mechanics production uses — with a
- * spawner that calls runWorkerRange() directly instead of exec'ing
- * the CLI binary.
+ * migration), scrub & repair, resuming a killed sweep from its store
+ * under injected faults ($REFRINT_FAULTS), and the serve loop's
+ * overload control (queue shedding, idle timeout, SIGTERM drain).
+ * The multi-process tests fork real children that open the store,
+ * run sessions and crash exactly as separate processes do.
  */
 
 #include <cstdio>
@@ -31,13 +29,12 @@
 #include <gtest/gtest.h>
 
 #include "api/experiment_plan.hh"
+#include "api/result_sink.hh"
 #include "api/session.hh"
-#include "service/coordinator.hh"
 #include "service/faults.hh"
 #include "service/framing.hh"
 #include "service/serve.hh"
 #include "service/store.hh"
-#include "service/worker.hh"
 
 namespace refrint::test
 {
@@ -118,54 +115,6 @@ smallPlan()
         }
     }
     return plan;
-}
-
-/** The single-process reference: the whole plan through one worker. */
-std::string
-referenceRows(const std::string &planPath, std::size_t n,
-              const std::string &outPath)
-{
-    std::FILE *f = std::fopen(outPath.c_str(), "w");
-    EXPECT_NE(f, nullptr);
-    WorkerRangeOptions opts;
-    opts.planPath = planPath;
-    opts.begin = 0;
-    opts.end = n;
-    opts.out = f;
-    EXPECT_EQ(runWorkerRange(opts), 0);
-    std::fclose(f);
-    return readFile(outPath);
-}
-
-/** Fork a child that runs @p task via runWorkerRange into its temp
- *  file — the in-process stand-in for fork+exec of the CLI. */
-pid_t
-forkWorker(const std::string &planPath, const std::string &storeDir,
-           const WorkerTask &task)
-{
-    std::fflush(nullptr); // no buffered bytes duplicated into the child
-    const pid_t pid = ::fork();
-    if (pid != 0)
-        return pid;
-    char attempt[16];
-    std::snprintf(attempt, sizeof(attempt), "%u", task.attempt);
-    ::setenv("REFRINT_WORKER_ATTEMPT", attempt, 1);
-    // The gtest parent touched the cached global fault plan (store
-    // inserts query it) before the test setenv'd $REFRINT_FAULTS; a
-    // real worker is a fresh exec and parses it on first use.
-    FaultPlan::reloadGlobalForTest();
-    std::FILE *f = std::fopen(task.outPath.c_str(), "w");
-    if (f == nullptr)
-        ::_exit(127);
-    WorkerRangeOptions opts;
-    opts.planPath = planPath;
-    opts.begin = task.begin;
-    opts.end = task.end;
-    opts.storeDir = storeDir;
-    opts.out = f;
-    const int rc = runWorkerRange(opts);
-    std::fclose(f);
-    ::_exit(rc);
 }
 
 // ---------------------------------------------------------------------
@@ -358,7 +307,7 @@ TEST(ShardedStoreTest, TwoProcessesAppendToTheSameStore)
 
 TEST(ShardedStoreTest, ProcessesCreatingOneStoreAtOnceAgreeOnItsManifest)
 {
-    // A coordinator's workers may all create a fresh store at once.
+    // Concurrent sweeps may all create a fresh store at once.
     // Each must open it (none may read a half-written manifest), and
     // all must use the shard count of the one manifest that won, even
     // when they asked for different counts.
@@ -478,167 +427,19 @@ TEST(SessionMetricsTest, CountsSimulatedThenWarmRuns)
 }
 
 // ---------------------------------------------------------------------
-// Coordinator / worker
-// ---------------------------------------------------------------------
-
-TEST(CoordinatorTest, RangesAlignToBaselineGroups)
-{
-    const ExperimentPlan plan = smallPlan(); // groups at 0 and 4
-    const auto two = shardPlanRanges(plan, 2);
-    ASSERT_EQ(two.size(), 2u);
-    EXPECT_EQ(two[0].first, 0u);
-    EXPECT_EQ(two[0].second, 4u);
-    EXPECT_EQ(two[1].first, 4u);
-    EXPECT_EQ(two[1].second, 8u);
-
-    // More workers than groups: the split falls back to even cuts and
-    // still covers [0, n) contiguously.
-    const auto three = shardPlanRanges(plan, 3);
-    ASSERT_EQ(three.size(), 3u);
-    EXPECT_EQ(three.front().first, 0u);
-    EXPECT_EQ(three.back().second, plan.size());
-    for (std::size_t i = 0; i + 1 < three.size(); ++i)
-        EXPECT_EQ(three[i].second, three[i + 1].first);
-}
-
-TEST(CoordinatorTest, MergedRowsAreByteIdenticalToSingleProcess)
-{
-    TempDir dir;
-    const ExperimentPlan plan = smallPlan();
-    const std::string planPath = dir.file("plan.json");
-    plan.saveFile(planPath);
-    const std::string ref =
-        referenceRows(planPath, plan.size(), dir.file("ref.jsonl"));
-    ASSERT_FALSE(ref.empty());
-
-    CoordinatorOptions opts;
-    opts.planPath = planPath;
-    opts.workers = 3; // > group count: exercises mid-group ranges too
-    opts.spawner = [&](const WorkerTask &task) {
-        return forkWorker(planPath, "", task);
-    };
-    std::FILE *out = std::fopen(dir.file("merged.jsonl").c_str(), "w");
-    ASSERT_NE(out, nullptr);
-    opts.out = out;
-    EXPECT_EQ(runCoordinator(opts), 0);
-    std::fclose(out);
-
-    EXPECT_EQ(readFile(dir.file("merged.jsonl")), ref);
-}
-
-TEST(CoordinatorTest, RetriesAKilledWorkerAndStaysByteIdentical)
-{
-    TempDir dir;
-    const ExperimentPlan plan = smallPlan();
-    const std::string planPath = dir.file("plan.json");
-    plan.saveFile(planPath);
-    const std::string ref =
-        referenceRows(planPath, plan.size(), dir.file("ref.jsonl"));
-
-    // One worker SIGKILLs itself right before emitting global row 5
-    // on its first attempt; the retry (attempt 1) runs clean.
-    ::setenv("REFRINT_FAULTS", "worker.crash@5", 1);
-    ::unsetenv("REFRINT_WORKER_ATTEMPT");
-
-    CoordinatorOptions opts;
-    opts.planPath = planPath;
-    opts.workers = 3;
-    opts.backoffBaseSec = 0.01; // keep the retry fast in tests
-    opts.storeDir = dir.file("store"); // committed rows are reused
-    opts.spawner = [&](const WorkerTask &task) {
-        return forkWorker(planPath, opts.storeDir, task);
-    };
-    std::FILE *out = std::fopen(dir.file("merged.jsonl").c_str(), "w");
-    ASSERT_NE(out, nullptr);
-    opts.out = out;
-    CoordinatorStats stats;
-    const int rc = runCoordinator(opts, &stats);
-    std::fclose(out);
-    ::unsetenv("REFRINT_FAULTS");
-    ASSERT_EQ(rc, 0);
-    EXPECT_EQ(stats.retriesUsed, 1u);
-    EXPECT_TRUE(stats.missing.empty());
-
-    // Byte-identity needs the "simulated" flags to match too — compare
-    // modulo that flag (the retried worker reuses rows the killed
-    // attempt already committed to the shared store), then exactly on
-    // everything else.
-    std::istringstream a(readFile(dir.file("merged.jsonl"))), b(ref);
-    std::string la, lb;
-    std::size_t rows = 0;
-    while (std::getline(a, la) && std::getline(b, lb)) {
-        const std::string t = "\"simulated\":true";
-        const std::string f = "\"simulated\":false";
-        for (std::string *s : {&la, &lb}) {
-            const auto at = s->find(f);
-            if (at != std::string::npos)
-                s->replace(at, f.size(), t);
-        }
-        EXPECT_EQ(la, lb) << "row " << rows;
-        ++rows;
-    }
-    EXPECT_EQ(rows, plan.size());
-    EXPECT_FALSE(std::getline(b, lb)); // same row count
-}
-
-TEST(WorkerTest, MidGroupRangeMatchesTheReferenceSlice)
-{
-    TempDir dir;
-    const ExperimentPlan plan = smallPlan();
-    const std::string planPath = dir.file("plan.json");
-    plan.saveFile(planPath);
-    const std::string ref =
-        referenceRows(planPath, plan.size(), dir.file("ref.jsonl"));
-
-    // Range 2:6 starts mid-group: the worker must prepend the fft
-    // baseline (index 0) for normalization but suppress its row.
-    std::FILE *f = std::fopen(dir.file("slice.jsonl").c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    WorkerRangeOptions opts;
-    opts.planPath = planPath;
-    opts.begin = 2;
-    opts.end = 6;
-    opts.out = f;
-    EXPECT_EQ(runWorkerRange(opts), 0);
-    std::fclose(f);
-
-    std::istringstream all(ref);
-    std::string line, expect;
-    for (std::size_t i = 0; std::getline(all, line); ++i)
-        if (i >= 2 && i < 6)
-            expect += line + "\n";
-    EXPECT_EQ(readFile(dir.file("slice.jsonl")), expect);
-}
-
-TEST(WorkerTest, RejectsARangeOutsideThePlan)
-{
-    TempDir dir;
-    const std::string planPath = dir.file("plan.json");
-    smallPlan().saveFile(planPath);
-    WorkerRangeOptions opts;
-    opts.planPath = planPath;
-    opts.begin = 4;
-    opts.end = 99;
-    opts.out = stderr;
-    EXPECT_EQ(runWorkerRange(opts), 1);
-}
-
-// ---------------------------------------------------------------------
 // FaultPlan
 // ---------------------------------------------------------------------
 
 TEST(FaultPlanTest, ParsesSchedulesAndAnswersPointQueries)
 {
     const FaultPlan plan(
-        "worker.crash@5,worker.slow@2:40,store.torn_write@7");
-    EXPECT_EQ(plan.specs().size(), 3u);
-    EXPECT_TRUE(plan.at("worker.crash", 5));
-    EXPECT_FALSE(plan.at("worker.crash", 4));
-    EXPECT_FALSE(plan.at("worker.hang", 5));
-    std::uint64_t ms = 0;
-    EXPECT_TRUE(plan.at("worker.slow", 2, &ms));
-    EXPECT_EQ(ms, 40u);
+        "store.torn_write@7,store.short_write@0,serve.drop_conn@3");
+    EXPECT_FALSE(plan.empty());
     EXPECT_TRUE(plan.at("store.torn_write", 7));
+    EXPECT_FALSE(plan.at("store.torn_write", 6));
+    EXPECT_TRUE(plan.at("store.short_write", 0));
+    EXPECT_FALSE(plan.at("store.short_write", 7));
+    EXPECT_TRUE(plan.at("serve.drop_conn", 3));
     EXPECT_FALSE(plan.at("serve.drop_conn", 7));
     EXPECT_TRUE(FaultPlan().empty());
     EXPECT_TRUE(FaultPlan("").empty());
@@ -646,14 +447,16 @@ TEST(FaultPlanTest, ParsesSchedulesAndAnswersPointQueries)
 
 TEST(FaultPlanTest, RejectsMalformedSchedules)
 {
-    EXPECT_EXIT(FaultPlan("worker.crash"),
+    EXPECT_EXIT(FaultPlan("store.torn_write"),
                 ::testing::ExitedWithCode(1), "point@ordinal");
     EXPECT_EXIT(FaultPlan("bogus.point@3"),
                 ::testing::ExitedWithCode(1), "unknown fault point");
-    EXPECT_EXIT(FaultPlan("worker.crash@x"),
+    EXPECT_EXIT(FaultPlan("worker.crash@5"),
+                ::testing::ExitedWithCode(1), "unknown fault point");
+    EXPECT_EXIT(FaultPlan("store.torn_write@x"),
                 ::testing::ExitedWithCode(1), "decimal ordinal");
-    EXPECT_EXIT(FaultPlan("worker.slow@1:fast"),
-                ::testing::ExitedWithCode(1), "decimal value");
+    EXPECT_EXIT(FaultPlan("store.torn_write@1:5"),
+                ::testing::ExitedWithCode(1), "decimal ordinal");
 }
 
 // ---------------------------------------------------------------------
@@ -724,6 +527,60 @@ TEST(StoreFaultTest, TornWriteCrashLeavesScrubRepairableDamage)
     }
     CacheRow c{};
     EXPECT_FALSE(store.lookup("victim", c));
+}
+
+TEST(StoreResumeTest, KilledSweepRerunSimulatesOnlyTheMissingRows)
+{
+    TempDir dir;
+    const std::string storeDir = dir.file("store");
+    const ExperimentPlan plan = smallPlan();
+
+    // A sweep is killed mid-append of its sixth row: rows 0..4 are
+    // committed, row 5 is a torn tail, rows 6..7 never ran.
+    std::fflush(nullptr);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::setenv("REFRINT_FAULTS", "store.torn_write@5", 1);
+        FaultPlan::reloadGlobalForTest();
+        Session(std::make_unique<ShardedStore>(storeDir), 1).run(plan);
+        ::_exit(0); // unreachable: the fault kills us first
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    ASSERT_EQ(WTERMSIG(status), SIGKILL);
+
+    // A plain rerun over the same store, with no scrub, answers the
+    // committed rows warm and simulates only the missing ones.
+    std::FILE *out = std::fopen(dir.file("resumed.jsonl").c_str(), "w");
+    ASSERT_NE(out, nullptr);
+    JsonLinesSink resumedRows(out);
+    const SweepResult r =
+        Session(std::make_unique<ShardedStore>(storeDir), 1)
+            .run(plan, {&resumedRows});
+    std::fclose(out);
+    EXPECT_EQ(r.metrics.simulated, 3u);
+    EXPECT_EQ(r.metrics.cacheHits, 5u);
+
+    // A warm reload is byte-identical to the run that wrote the row:
+    // the resumed rows equal an uninterrupted storeless run except
+    // for the "simulated" flag of the five reloaded rows.
+    out = std::fopen(dir.file("reference.jsonl").c_str(), "w");
+    ASSERT_NE(out, nullptr);
+    JsonLinesSink referenceRows(out);
+    Session(nullptr, 1).run(plan, {&referenceRows});
+    std::fclose(out);
+    std::string resumed = readFile(dir.file("resumed.jsonl"));
+    const std::string warm = "\"simulated\":false";
+    std::size_t reloaded = 0;
+    for (auto at = resumed.find(warm); at != std::string::npos;
+         at = resumed.find(warm, at)) {
+        resumed.replace(at, warm.size(), "\"simulated\":true");
+        ++reloaded;
+    }
+    EXPECT_EQ(reloaded, 5u);
+    EXPECT_EQ(resumed, readFile(dir.file("reference.jsonl")));
 }
 
 TEST(ScrubTest, ClassifiesTornTailVsMidFileCorruption)
@@ -852,130 +709,6 @@ TEST(SessionDeadlineTest, SkipsUnstartedScenariosPastTheDeadline)
     const SweepResult full = fresh.run(plan);
     EXPECT_EQ(full.metrics.skipped, 0u);
     EXPECT_EQ(full.raw.size(), plan.size());
-}
-
-// ---------------------------------------------------------------------
-// Coordinator chaos: hangs, slowness, exhausted retries
-// ---------------------------------------------------------------------
-
-TEST(CoordinatorTest, DeadlineKillsAHungWorkerAndSalvagesItsRows)
-{
-    TempDir dir;
-    const ExperimentPlan plan = smallPlan();
-    const std::string planPath = dir.file("plan.json");
-    plan.saveFile(planPath);
-    const std::string ref =
-        referenceRows(planPath, plan.size(), dir.file("ref.jsonl"));
-
-    // The worker owning rows 4:8 hangs forever right before row 5;
-    // its flushed row 4 must be salvaged and only 5:8 re-dispatched.
-    ::setenv("REFRINT_FAULTS", "worker.hang@5", 1);
-    ::unsetenv("REFRINT_WORKER_ATTEMPT");
-
-    CoordinatorOptions opts;
-    opts.planPath = planPath;
-    opts.workers = 2; // group-aligned: 0:4 and 4:8
-    opts.workerTimeoutSec = 1.0;
-    opts.backoffBaseSec = 0.01;
-    opts.spawner = [&](const WorkerTask &task) {
-        return forkWorker(planPath, "", task);
-    };
-    std::FILE *out = std::fopen(dir.file("merged.jsonl").c_str(), "w");
-    ASSERT_NE(out, nullptr);
-    opts.out = out;
-    CoordinatorStats stats;
-    const int rc = runCoordinator(opts, &stats);
-    std::fclose(out);
-    ::unsetenv("REFRINT_FAULTS");
-
-    ASSERT_EQ(rc, 0);
-    EXPECT_EQ(stats.deadlineKills, 1u);
-    EXPECT_EQ(stats.retriesUsed, 1u);
-    EXPECT_EQ(stats.salvagedRows, 1u); // row 4, flushed before the hang
-    EXPECT_TRUE(stats.missing.empty());
-    // Without a shared store nothing is answered warm, so recovery is
-    // byte-exact: salvaged rows + re-simulated rows == fault-free run.
-    EXPECT_EQ(readFile(dir.file("merged.jsonl")), ref);
-}
-
-TEST(CoordinatorTest, SlowButProgressingWorkerSurvivesTheDeadline)
-{
-    TempDir dir;
-    const ExperimentPlan plan = smallPlan();
-    const std::string planPath = dir.file("plan.json");
-    plan.saveFile(planPath);
-    const std::string ref =
-        referenceRows(planPath, plan.size(), dir.file("ref.jsonl"));
-
-    // 300 ms of dawdling before row 5 is well under the 1.5 s
-    // no-progress deadline: slow is not hung.
-    ::setenv("REFRINT_FAULTS", "worker.slow@5:300", 1);
-    ::unsetenv("REFRINT_WORKER_ATTEMPT");
-
-    CoordinatorOptions opts;
-    opts.planPath = planPath;
-    opts.workers = 2;
-    opts.workerTimeoutSec = 1.5;
-    opts.spawner = [&](const WorkerTask &task) {
-        return forkWorker(planPath, "", task);
-    };
-    std::FILE *out = std::fopen(dir.file("merged.jsonl").c_str(), "w");
-    ASSERT_NE(out, nullptr);
-    opts.out = out;
-    CoordinatorStats stats;
-    const int rc = runCoordinator(opts, &stats);
-    std::fclose(out);
-    ::unsetenv("REFRINT_FAULTS");
-
-    ASSERT_EQ(rc, 0);
-    EXPECT_EQ(stats.deadlineKills, 0u);
-    EXPECT_EQ(stats.retriesUsed, 0u);
-    EXPECT_EQ(readFile(dir.file("merged.jsonl")), ref);
-}
-
-TEST(CoordinatorTest, ExhaustedRetriesDegradeGracefullyWithAnExactReport)
-{
-    TempDir dir;
-    const ExperimentPlan plan = smallPlan();
-    const std::string planPath = dir.file("plan.json");
-    plan.saveFile(planPath);
-    const std::string ref =
-        referenceRows(planPath, plan.size(), dir.file("ref.jsonl"));
-
-    // retries=0: the crash before row 5 is terminal for its range —
-    // but every other row must still be merged, and the missing
-    // indices reported exactly.
-    ::setenv("REFRINT_FAULTS", "worker.crash@5", 1);
-    ::unsetenv("REFRINT_WORKER_ATTEMPT");
-
-    CoordinatorOptions opts;
-    opts.planPath = planPath;
-    opts.workers = 2;
-    opts.retries = 0;
-    opts.spawner = [&](const WorkerTask &task) {
-        return forkWorker(planPath, "", task);
-    };
-    std::FILE *out = std::fopen(dir.file("merged.jsonl").c_str(), "w");
-    ASSERT_NE(out, nullptr);
-    opts.out = out;
-    CoordinatorStats stats;
-    const int rc = runCoordinator(opts, &stats);
-    std::fclose(out);
-    ::unsetenv("REFRINT_FAULTS");
-
-    EXPECT_EQ(rc, 1);
-    ASSERT_EQ(stats.missing.size(), 1u);
-    EXPECT_EQ(stats.missing[0].first, 5u);
-    EXPECT_EQ(stats.missing[0].second, 8u);
-    EXPECT_EQ(stats.salvagedRows, 1u); // row 4 survived the crash
-
-    // The merged stream holds exactly rows 0..4 of the reference.
-    std::istringstream all(ref);
-    std::string line, expect;
-    for (std::size_t i = 0; std::getline(all, line); ++i)
-        if (i < 5)
-            expect += line + "\n";
-    EXPECT_EQ(readFile(dir.file("merged.jsonl")), expect);
 }
 
 // ---------------------------------------------------------------------

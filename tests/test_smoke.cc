@@ -45,7 +45,7 @@ TEST(Smoke, EdramRefreshesHappen)
 TEST(Smoke, InvariantsHoldAfterRun)
 {
     PingPongWorkload app(32);
-    HierarchyConfig cfg =
+    MachineConfig cfg =
         tinyEdram(RefreshPolicy::refrint(DataPolicy::WB, 4, 4));
     SimParams sim;
     sim.refsPerCore = 4000;

@@ -114,10 +114,10 @@ TEST(ThermalResponse, RetentionParamsScaleHook)
 // End to end: thermal runs on the tiny machine
 // ---------------------------------------------------------------------
 
-HierarchyConfig
+MachineConfig
 tinyThermal(const RefreshPolicy &pol, double ambientC)
 {
-    HierarchyConfig c = tinyEdram(pol);
+    MachineConfig c = tinyEdram(pol);
     c.thermal.enabled = true;
     c.thermal.ambientC = ambientC;
     return c;
@@ -209,7 +209,7 @@ TEST(ThermalRun, HotDieHurtsPeriodicAllMoreThanRefrintWB)
 TEST(ThermalRun, DeterministicAcrossRepeats)
 {
     UniformWorkload app(16 * 1024, 0.3);
-    const HierarchyConfig cfg =
+    const MachineConfig cfg =
         tinyThermal(RefreshPolicy::refrint(DataPolicy::Valid), 65.0);
     const RunResult a = runTiny(cfg, app, 10'000);
     const RunResult b = runTiny(cfg, app, 10'000);
@@ -221,7 +221,7 @@ TEST(ThermalRun, DeterministicAcrossRepeats)
 
 TEST(ThermalRun, SramMachineRejectsThermal)
 {
-    HierarchyConfig cfg = tinyConfig(CellTech::Sram);
+    MachineConfig cfg = tinyConfig(CellTech::Sram);
     cfg.thermal.enabled = true;
     EventQueue eq;
     EXPECT_DEATH(Hierarchy(cfg, eq), "thermal model requires an eDRAM");

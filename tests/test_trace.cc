@@ -108,7 +108,7 @@ TEST(TraceTest, ReplayReproducesTheGeneratorRunExactly)
     const std::uint64_t refs = 2000;
     const std::uint64_t seed = 7;
 
-    const HierarchyConfig cfg =
+    const MachineConfig cfg =
         tinyEdram(RefreshPolicy::refrint(DataPolicy::WB, 8, 8));
     const RunResult direct = runTiny(cfg, app, refs, seed);
 

@@ -72,7 +72,7 @@ struct VarHarness
 {
     VarHarness(const RefreshPolicy &pol, double sigma)
         : cfg([&] {
-              HierarchyConfig c = tinyEdram(pol, usToTicks(5.0));
+              MachineConfig c = tinyEdram(pol, usToTicks(5.0));
               c.retention = variedRetention(usToTicks(5.0), sigma, 0.80);
               return c;
           }()),
@@ -90,7 +90,7 @@ struct VarHarness
         return it == m.end() ? 0 : static_cast<std::uint64_t>(it->second);
     }
 
-    HierarchyConfig cfg;
+    MachineConfig cfg;
     EventQueue eq;
     Hierarchy hier;
 };

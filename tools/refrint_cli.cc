@@ -30,18 +30,14 @@
 #include <variant>
 #include <vector>
 
-#include <unistd.h>
-
 #include "api/experiment_plan.hh"
 #include "api/result_sink.hh"
 #include "api/session.hh"
 #include "common/env.hh"
 #include "edram/retention.hh"
 #include "harness/report.hh"
-#include "service/coordinator.hh"
 #include "service/serve.hh"
 #include "service/store.hh"
-#include "service/worker.hh"
 #include "trace/trace.hh"
 #include "validate/validate.hh"
 #include "workload/method.hh"
@@ -79,12 +75,8 @@ struct Args
     std::string jsonl; ///< JSON Lines result sink ("-" = stdout)
     std::string csv;   ///< CSV result sink ("-" = stdout)
     std::string in, out;
-    std::uint64_t workers = 0; ///< sweep: shard the plan across N workers
-    std::uint64_t retries = 1; ///< sweep --workers: extra attempts/range
-    double workerTimeout = 0;  ///< sweep --workers: no-progress deadline
     bool sync = false;         ///< --store: fdatasync every append
     bool repair = false;       ///< cache scrub: quarantine + rebuild
-    std::string range;         ///< worker: scenario index range "A:B"
     std::string socket;        ///< serve/submit: unix socket path
     std::uint64_t port = 0;    ///< serve/submit: TCP port on 127.0.0.1
     std::uint64_t maxQueue = 16; ///< serve: pending-connection bound
@@ -158,14 +150,6 @@ const Flag kFlags[] = {
      "SRAM cache-decay comparator interval (needs --sram)"},
     {"--ambient", "C", &Args::ambientC, kNotGrid,
      "enable the thermal subsystem at C deg C"},
-    {"--workers", "N", &Args::workers, kNotGrid,
-     "shard the plan across N worker subprocesses (needs\n"
-     "--jsonl; rows byte-identical to --jobs 1)", 1, 256},
-    {"--retries", "N", &Args::retries, kNotGrid,
-     "extra attempts per range after a worker crash or\n"
-     "hang, salvaging its flushed rows (default 1)", 0, 100},
-    {"--worker-timeout", "SEC", &Args::workerTimeout, kNotGrid,
-     "kill a worker with no new row for SEC s (default off)"},
     {"--jsonl", "FILE", &Args::jsonl, kNotGrid,
      "one JSON object per run; \"-\" streams to stdout and\n"
      "replaces the default report"},
@@ -180,8 +164,6 @@ const Flag kFlags[] = {
      "fdatasync every store append (needs --store)"},
     {"--jobs", "N", &Args::jobs, kNotGrid,
      "worker threads (default $REFRINT_JOBS, else 1)", 1, 4096},
-    {"--range", "A:B", &Args::range, kNotGrid,
-     "scenario indices to run, A inclusive to B exclusive"},
     {"--socket", "PATH", &Args::socket, kNotGrid, "a unix socket path"},
     {"--port", "N", &Args::port, kNotGrid, "a TCP port on 127.0.0.1", 1,
      65535},
@@ -661,71 +643,11 @@ cmdRun(const Args &a)
     return 0;
 }
 
-/** sweep --workers N: shard @p plan across worker subprocesses and
- *  merge their row streams (service/coordinator.hh). */
-int
-sweepWithWorkers(const Args &a, const ExperimentPlan &plan)
-{
-    char exe[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-    if (n <= 0) {
-        std::fprintf(stderr,
-                     "cannot resolve the worker binary path\n");
-        return 1;
-    }
-    exe[n] = '\0';
-
-    // Workers load the plan from a file, written beside the
-    // coordinator's range files.
-    const char *tmp = std::getenv("TMPDIR");
-    std::string planPath = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
-    planPath += "/refrint-plan-XXXXXX";
-    const int fd = ::mkstemp(planPath.data());
-    if (fd < 0) {
-        std::fprintf(stderr, "cannot create temp plan file %s\n",
-                     planPath.c_str());
-        return 1;
-    }
-    ::close(fd);
-    plan.saveFile(planPath);
-
-    CoordinatorOptions opts;
-    opts.planPath = planPath;
-    opts.storeDir = a.store;
-    opts.workers = a.workers;
-    opts.workerBin = exe;
-    opts.retries = a.retries;
-    opts.workerTimeoutSec = a.workerTimeout;
-    SinkSet files; // reuse the sink-file plumbing for the merged stream
-    opts.out = openSinkFile(files, a.jsonl);
-    const int rc = opts.out != nullptr ? runCoordinator(opts) : 1;
-    ::unlink(planPath.c_str());
-    return rc;
-}
-
 int
 cmdSweepOrFigures(const Args &a, bool figures)
 {
-    if (a.workers > 0) {
-        if (a.jsonl.empty())
-            usageError("sweep --workers streams merged rows only; add "
-                       "--jsonl FILE (or --jsonl -)");
-        if (!a.csv.empty() || a.progress)
-            usageError("sweep --workers supports only the --jsonl sink");
-        if (a.sync)
-            usageError("--sync applies only to a single-process sweep; "
-                       "its workers append without it");
-    } else {
-        for (const char *f : {"--retries", "--worker-timeout"})
-            if (given(a, f))
-                usageError("%s applies only to sweep --workers N (a "
-                           "single-process sweep has no workers to "
-                           "retry)",
-                           f);
-    }
-    // The coordinator prints no report, and a machine-readable stdout
-    // keeps it out.
-    const bool report = a.workers == 0 && !stdoutIsMachineReadable(a);
+    // A machine-readable stdout keeps the report out.
+    const bool report = !stdoutIsMachineReadable(a);
     ExperimentPlan plan = !a.plan.empty()
                               ? ExperimentPlan::loadFile(a.plan)
                               : sweepPlanFor(a, report);
@@ -734,8 +656,6 @@ cmdSweepOrFigures(const Args &a, bool figures)
     // aliasing the default corpus.
     if (a.alt)
         plan.energy.altModel = 1;
-    if (a.workers > 0)
-        return sweepWithWorkers(a, plan);
     SinkSet sinks;
     if (!attachCommonSinks(a, sinks))
         return 1;
@@ -822,29 +742,6 @@ cmdPlan(const Args &a)
     else
         plan.saveFile(a.out);
     return 0;
-}
-
-int
-cmdWorker(const Args &a)
-{
-    if (a.plan.empty())
-        usageError("worker needs --plan FILE");
-    const auto colon = a.range.find(':');
-    std::uint64_t begin = 0, end = 0;
-    if (a.range.empty() || colon == std::string::npos ||
-        !parseU64Strict(a.range.substr(0, colon).c_str(), begin) ||
-        !parseU64Strict(a.range.substr(colon + 1).c_str(), end) ||
-        begin >= end)
-        usageError("worker needs --range A:B with A < B (scenario "
-                   "indices into the plan)");
-
-    WorkerRangeOptions opts;
-    opts.planPath = a.plan;
-    opts.begin = static_cast<std::size_t>(begin);
-    opts.end = static_cast<std::size_t>(end);
-    opts.storeDir = a.store;
-    opts.jobs = a.jobs == 0 ? 1 : a.jobs;
-    return runWorkerRange(opts);
 }
 
 int
@@ -1027,8 +924,8 @@ const Command kCommands[] = {
      "--alt --decay --ambient",
      0, "usage: refrint_cli run [options]\n", cmdRun},
     {"sweep", "the paper's Table 5.4 sweep (473 runs at full size)",
-     "--plan --app... --refs --cores --hybrid --alt --workers --retries "
-     "--worker-timeout --jsonl --csv --progress --store --sync --jobs",
+     "--plan --app... --refs --cores --hybrid --alt --jsonl --csv "
+     "--progress --store --sync --jobs",
      0, "usage: refrint_cli sweep [options]\n",
      [](const Args &a) { return cmdSweepOrFigures(a, false); }},
     {"figures", "Figs. 6.1-6.4 + the headline table",
@@ -1052,14 +949,6 @@ const Command kCommands[] = {
      "names.  A dumped plan replays with 'sweep --plan FILE' and\n"
      "produces rows byte-identical to the grid it was dumped from.\n",
      cmdPlan},
-    {"worker", "run one scenario range of a plan (coordinator half)",
-     "--plan --range --store --jobs", 0,
-     "usage: refrint_cli worker --plan FILE --range A:B [options]\n"
-     "\nRuns a range of the FULL plan and streams its rows to stdout\n"
-     "as JSON Lines with their global plan identity; --jobs defaults\n"
-     "to 1.  Normally spawned by 'sweep --workers N'; runnable by\n"
-     "hand for debugging a shard.\n",
-     cmdWorker},
     {"serve", "long-running experiment service on a socket",
      "--socket --port --store --jobs --max-queue --request-timeout "
      "--idle-timeout",
