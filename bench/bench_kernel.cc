@@ -7,12 +7,12 @@
  * on:
  *
  *  - events/sec: EventQueue schedule+dispatch throughput with a
- *    core-like population of self-rescheduling clients, a band of
- *    far-future deadlines, and cancellable-handle churn — the same mix
- *    a simulation run produces.  A second queue (events/sec mid)
- *    re-arms its engine-like clients 64–255 ticks out instead, the
- *    band where sentry re-arms and miss completions land (31% of an
- *    fft R.valid run's admissions).
+ *    core-like population of self-rescheduling clients and engine-like
+ *    clients that re-arm far-future deadlines, a full and a half
+ *    horizon out in turn — the same mix a simulation run produces.  A
+ *    second queue (events/sec mid) re-arms its engine-like clients
+ *    64–255 ticks out instead, the band where sentry re-arms and miss
+ *    completions land (31% of an fft R.valid run's admissions).
  *
  *  - lookups/sec: CacheArray probe throughput (lookup + LRU touch with
  *    a miss/install mix) on the paper's L3-bank geometry with set
@@ -78,27 +78,20 @@ struct Ticker : EventClient
     }
 };
 
-/** Client that re-arms a cancellable deadline, cancelling the old one
- *  half the time — the refresh-engine reschedule pattern. */
+/** Client that re-arms its deadline a full horizon out and half a
+ *  horizon out in turn — the refresh-engine reschedule pattern. */
 struct Rearmer : EventClient
 {
     EventQueue *eq = nullptr;
     Tick horizon = 50'000;
     std::uint64_t fired = 0;
-    EventHandle handle;
 
     void
     fire(Tick now, std::uint64_t) override
     {
         ++fired;
-        EventHandle stale =
-            eq->scheduleCancellable(now + horizon, this, 0);
-        if ((fired & 1) == 0) {
-            eq->cancel(stale);
-            handle = eq->scheduleCancellable(now + horizon / 2, this, 0);
-        } else {
-            handle = stale;
-        }
+        eq->schedule(now + ((fired & 1) == 0 ? horizon / 2 : horizon),
+                     this, 0);
     }
 };
 
@@ -106,8 +99,8 @@ struct Rearmer : EventClient
  *  @p coreCount scales the client population the way MachineConfig
  *  scales the machine: N core-like tickers plus 4N engine-like
  *  rearmers (the paper machine's engine-to-core ratio).  Rearmer i
- *  re-arms @p horizon + @p horizonStep * (i % 16) ticks out, or half
- *  that when it cancels and re-arms. */
+ *  re-arms @p horizon + @p horizonStep * (i % 16) ticks out, and half
+ *  that every other time. */
 double
 benchEvents(std::uint64_t targetEvents, std::uint32_t coreCount = 16,
             Tick horizon = 20'000, Tick horizonStep = 1'000)
@@ -124,8 +117,7 @@ benchEvents(std::uint64_t targetEvents, std::uint32_t coreCount = 16,
         engines[i].eq = &eq;
         engines[i].horizon =
             horizon + horizonStep * static_cast<Tick>(i % 16);
-        engines[i].handle = eq.scheduleCancellable(
-            100 + 37 * static_cast<Tick>(i), &engines[i], 0);
+        eq.schedule(100 + 37 * static_cast<Tick>(i), &engines[i], 0);
     }
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -250,8 +242,8 @@ main(int argc, char **argv)
     }
     const double eventsPerSec = curve[2];   // 16c: the headline metric
     const double eventsPerSec32 = curve[3]; // 32c: the scaling gate
-    // 16c, rearmers 128–248 ticks out (64–124 after a cancel): every
-    // engine admission lands in the wheel's 64–255-tick band.
+    // 16c, rearmers 128–248 ticks out and 64–124 every other time:
+    // every engine admission lands in the wheel's 64–255-tick band.
     benchEvents(2'000'000, 16, 128, 8);
     const double eventsPerSecMid = benchEvents(20'000'000, 16, 128, 8);
     benchLookups(2'000'000);

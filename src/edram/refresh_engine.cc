@@ -162,8 +162,7 @@ PeriodicEngine::PeriodicEngine(RefreshTarget &target,
                                const EngineGeometry &geom, EventQueue &eq,
                                StatGroup &stats, Arena *arena)
     : RefreshEngine(target, policy, retention, geom, eq, stats, arena),
-      burstNext_(ArenaAllocator<Tick>(arena)),
-      burstEvents_(ArenaAllocator<EventHandle>(arena))
+      burstNext_(ArenaAllocator<Tick>(arena))
 {
     kind_ = EngineKind::Periodic;
     // A periodic controller has no per-line retention knowledge: under
@@ -188,7 +187,6 @@ PeriodicEngine::PeriodicEngine(RefreshTarget &target,
     // implicit since bursts are evenly staggered anyway.
     numBursts_ = (lines + linesPerBurst_ - 1) / linesPerBurst_;
     burstNext_.assign(numBursts_, 0);
-    burstEvents_.assign(numBursts_, EventHandle{});
     bursts_ = &stats.counter("periodic_bursts");
 }
 
@@ -202,13 +200,22 @@ PeriodicEngine::start(Tick now)
         const Tick phase =
             cellRetention_ * static_cast<Tick>(k) / numBursts_;
         burstNext_[k] = now + phase + 1;
-        burstEvents_[k] = eq_.scheduleCancellable(burstNext_[k], this, k);
+        scheduleBurst(k);
     }
+}
+
+void
+PeriodicEngine::scheduleBurst(std::uint32_t k)
+{
+    eq_.schedule(burstNext_[k], this,
+                 (static_cast<std::uint64_t>(generation_) << 32) | k);
 }
 
 void
 PeriodicEngine::fire(Tick now, std::uint64_t tag)
 {
+    if (static_cast<std::uint32_t>(tag >> 32) != generation_)
+        return; // a wake of a schedule a rescale superseded
     const std::uint32_t k = static_cast<std::uint32_t>(tag);
     const std::uint32_t lines = arr_.numLines();
     const std::uint32_t lo = k * linesPerBurst_;
@@ -297,7 +304,7 @@ PeriodicEngine::fire(Tick now, std::uint64_t tag)
     if (serviced > 0)
         target_.addBusy(now, serviced);
     burstNext_[k] = now + cellRetention_;
-    burstEvents_[k] = eq_.scheduleCancellable(burstNext_[k], this, k);
+    scheduleBurst(k);
     prefetchBurst(k + 1 < numBursts_ ? k + 1 : 0);
 }
 
@@ -322,14 +329,14 @@ PeriodicEngine::onRetentionRescaled(double rho, Tick now)
     // next firing moved affinely around now — each burst keeps its
     // phase position inside the (new) period, so the lines it renews
     // (whose expiries were re-stamped by the same map) are still
-    // visited before they decay.  Cancelling through the handles frees
-    // the retired events' kernel heap slots immediately.
+    // visited before they decay.  The old schedule's events stay
+    // queued and return at once when they fire (see fire()).
+    ++generation_;
     for (std::uint32_t k = 0; k < numBursts_; ++k) {
-        eq_.cancel(burstEvents_[k]);
         burstNext_[k] = rescaleStamp(burstNext_[k], now, rho);
         if (burstNext_[k] < now)
             burstNext_[k] = now;
-        burstEvents_[k] = eq_.scheduleCancellable(burstNext_[k], this, k);
+        scheduleBurst(k);
     }
 }
 

@@ -288,18 +288,24 @@ class PeriodicEngine : public RefreshEngine
 
   protected:
     /** Reschedule every burst at its phase position compressed (or
-     *  stretched) to the new period; the retired schedule is cancelled
-     *  through its event handles, vacating the kernel heap slots. */
+     *  stretched) to the new period under a new generation; the
+     *  superseded schedule's events fire as no-ops. */
     void onRetentionRescaled(double rho, Tick now) override;
 
   private:
+    /** Schedule burst @p k's next wake at burstNext_[k]. */
+    void scheduleBurst(std::uint32_t k);
+
     /** Prefetch what burst @p k will read and write (see fire()). */
     void prefetchBurst(std::uint32_t k) const;
 
     std::uint32_t linesPerBurst_;
     std::uint32_t numBursts_;
     ArenaVector<Tick> burstNext_;  ///< next firing time per burst
-    ArenaVector<EventHandle> burstEvents_; ///< live event per burst
+    /** Schedule generation, carried in the high 32 bits of every burst
+     *  event's tag (the burst index is the low 32): a rescale bumps
+     *  it, so the events of the schedule it replaced are stale. */
+    std::uint32_t generation_ = 0;
     bool started_ = false;
 
     Counter *bursts_;

@@ -8,8 +8,7 @@ EventQueue::promoteFar()
 {
     // Pull everything inside the next horizon window into the heap and
     // compact the remainder in place; each entry is promoted at most
-    // once, so the rescans amortize to O(1) per event.  Cancelled far
-    // entries evaporate here without ever touching the heap.  Promotion
+    // once, so the rescans amortize to O(1) per event.  Promotion
     // targets the heap only — the window slide migrates heap entries
     // into wheel buckets in pop order, which keeps buckets seq-sorted.
     const Tick limit = farMin_ > kTickNever - kFarHorizon
@@ -18,8 +17,6 @@ EventQueue::promoteFar()
     Tick newMin = kTickNever;
     std::size_t out = 0;
     for (const Entry &e : far_) {
-        if (dead(e.key))
-            continue;
         if (e.key.when <= limit) {
             push(e.key, e.val);
         } else {
@@ -32,20 +29,6 @@ EventQueue::promoteFar()
     farMin_ = newMin;
 }
 
-void
-EventQueue::flushWheelToHeap()
-{
-    for (auto &b : wheel_) {
-        for (const Entry &e : b) {
-            if (!dead(e.key))
-                push(e.key, e.val);
-        }
-        b.clear();
-    }
-    occ_.fill(0);
-    pos_ = 0;
-}
-
 bool
 EventQueue::prepareNext(Tick limit)
 {
@@ -54,10 +37,6 @@ EventQueue::prepareNext(Tick limit)
         bucketOf(base_).clear();
         markEmpty(static_cast<unsigned>(base_ & kWheelMask));
         pos_ = 0;
-
-        // Melt cancelled heap tops so hNext names a live entry.
-        while (!keys_.empty() && dead(keys_.front()))
-            popTop();
 
         const Tick wNext = nextWheelTick();
         const Tick hNext = keys_.empty() ? kTickNever : keys_.front().when;
@@ -71,13 +50,6 @@ EventQueue::prepareNext(Tick limit)
         }
         if (cand == kTickNever || cand > limit)
             return false; // base_ stays: the window has not moved
-
-        if (cand < base_) {
-            // A bounded step() slid the window past now_, and a caller
-            // then scheduled earlier (heap-routed) work.  Rewind
-            // through the heap so buckets never mix ticks.
-            flushWheelToHeap();
-        }
         base_ = cand;
         pos_ = 0;
 
@@ -87,8 +59,7 @@ EventQueue::prepareNext(Tick limit)
             const Key k = keys_.front();
             const Val v = vals_.front();
             popTop();
-            if (!dead(k))
-                bucketInsert(k, v);
+            bucketInsert(k, v);
         }
         return true;
     }

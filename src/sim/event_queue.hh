@@ -26,18 +26,18 @@
  *    dispatch slower than a 16-core one).
  *
  *  - Heap (due within kFarHorizon): a flat 4-ary implicit heap, split
- *    SoA-style into 16-byte ordering keys (tick, seq, cancellation
- *    slot) and 16-byte payloads so sift comparisons scan packed keys
- *    only.  Entries migrate heap -> wheel in pop order when the window
- *    slides over them, which preserves the (when, seq) total order.
+ *    SoA-style into 16-byte ordering keys (tick, seq) and 16-byte
+ *    payloads so sift comparisons scan packed keys only.  Entries
+ *    migrate heap -> wheel in pop order when the window slides over
+ *    them, which preserves the (when, seq) total order.
  *
  *  - Far band (beyond kFarHorizon): unsorted, O(1) admission, batch
  *    promotion into the heap, keeping the heap at core-count scale
  *    instead of holding every retention deadline.
  *
- * Cancellation is lazy and O(1): a handle names a slot stamped with its
- * event's sequence number; cancel() retires the stamp and the dead
- * entry is skipped (without advancing time) when it surfaces.
+ * There is no cancellation: a client that supersedes one of its wakes
+ * recognises the stale one when it fires and returns (DESIGN.md
+ * "Superseded wakes").
  *
  * Ordering invariants the wheel maintains (see DESIGN.md "Kernel
  * round 2"):
@@ -46,12 +46,9 @@
  *    (append), and heap migrations arrive in heap pop order (a rare
  *    backward insert positions an old-seq migrant before same-tick
  *    fresh entries);
- *  - user code only runs during dispatch, when now_ == base_, so a
- *    schedule() can never target a bucket behind the window;
- *  - a bounded step() that leaves base_ ahead of now_ may later see an
- *    admission behind the window; it lands in the heap and a backward
- *    window move flushes the wheel through the heap first, so buckets
- *    never mix ticks.
+ *  - the window only moves onto a tick that step() then dispatches, so
+ *    base_ == now_ whenever user code runs or step() returns, and a
+ *    schedule() can never target a bucket behind the window.
  */
 
 #ifndef REFRINT_SIM_EVENT_QUEUE_HH
@@ -83,37 +80,18 @@ class EventClient
 };
 
 /**
- * Names one cancellable scheduled event.  Default-constructed handles
- * are inert: cancel() on them is a no-op returning false.  A handle is
- * spent once the event fires or is cancelled; cancelling a spent handle
- * is safe (the slot's live sequence number no longer matches).
- */
-struct EventHandle
-{
-    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-    std::uint32_t slot = kNoSlot;
-    std::uint32_t seq = 0; ///< sequence number of the named event
-
-    bool pending() const { return slot != kNoSlot; }
-};
-
-/**
  * The global event queue.  Not thread-safe by design: the entire
  * simulation is a single deterministic thread.
  */
 class EventQueue
 {
   public:
-    /** @p arena, when non-null, backs the kernel's bands and slot
-     *  table so a worker can recycle them across runs
-     *  (common/arena.hh). */
+    /** @p arena, when non-null, backs the kernel's bands so a worker
+     *  can recycle them across runs (common/arena.hh). */
     explicit EventQueue(Arena *arena = nullptr)
         : keys_(ArenaAllocator<Key>(arena)),
           vals_(ArenaAllocator<Val>(arena)),
-          far_(ArenaAllocator<Entry>(arena)),
-          slotLive_(ArenaAllocator<std::uint32_t>(arena)),
-          freeSlots_(ArenaAllocator<std::uint32_t>(arena))
+          far_(ArenaAllocator<Entry>(arena))
     {
         for (auto &b : wheel_)
             b = ArenaVector<Entry>(ArenaAllocator<Entry>(arena));
@@ -127,72 +105,32 @@ class EventQueue
     schedule(Tick when, EventClient *client, std::uint64_t tag = 0)
     {
         panicIf(when < now_, "event scheduled in the past");
-        admit(Key{when, nextSeq(), EventHandle::kNoSlot},
-              Val{client, tag});
-        ++live_;
-    }
-
-    /**
-     * Schedule @p client->fire(when, tag) and return a handle that can
-     * revoke it before it fires.  Consumes the same global sequence
-     * number a plain schedule() would, so interleavings with other
-     * same-tick events are unchanged.
-     */
-    EventHandle
-    scheduleCancellable(Tick when, EventClient *client,
-                        std::uint64_t tag = 0)
-    {
-        panicIf(when < now_, "event scheduled in the past");
-        const std::uint32_t slot = allocSlot();
-        const std::uint32_t seq = nextSeq();
-        slotLive_[slot] = seq;
-        admit(Key{when, seq, slot}, Val{client, tag});
-        ++live_;
-        return EventHandle{slot, seq};
-    }
-
-    /**
-     * Revoke the event named by @p h.  O(1): the entry is marked dead
-     * by retiring the slot's live sequence number and melts away when
-     * it surfaces.
-     * @return true if the event was still pending (and is now dead).
-     */
-    bool
-    cancel(const EventHandle &h)
-    {
-        if (!h.pending() || slotLive_[h.slot] != h.seq)
-            return false; // inert, already fired, or already cancelled
-        freeSlot(h.slot);
-        --live_;
-        return true;
+        admit(Key{when, nextSeq()}, Val{client, tag});
+        ++pending_;
     }
 
     /** Current simulation time (last dispatched event's tick). */
     Tick now() const { return now_; }
 
-    /** Live (non-cancelled) pending events. */
-    bool empty() const { return live_ == 0; }
-    std::size_t size() const { return live_; }
+    /** Pending events. */
+    bool empty() const { return pending_ == 0; }
+    std::size_t size() const { return pending_; }
 
     /**
-     * Dispatch the single earliest live event if it is due at or
-     * before @p limit (an event at exactly @p limit still fires).
-     * The kernel's only dispatch loop; inline, since it is the
-     * simulation's main loop.
-     * @return false, dispatching nothing, when no live event is due
-     * by @p limit; later events stay pending for the next call.
+     * Dispatch the single earliest event if it is due at or before
+     * @p limit (an event at exactly @p limit still fires).  The
+     * kernel's only dispatch loop; inline, since it is the simulation's
+     * main loop.
+     * @return false, dispatching nothing, when no event is due by
+     * @p limit; later events stay pending for the next call.
      */
     bool
     step(Tick limit = kTickNever)
     {
         for (;;) {
             const ArenaVector<Entry> &b = bucketOf(base_);
-            while (pos_ < b.size()) {
+            if (pos_ < b.size()) {
                 const Entry e = b[pos_]; // copy: fire() may grow b
-                if (dead(e.key)) {
-                    ++pos_;
-                    continue; // cancelled: melts, time does not advance
-                }
                 if (e.key.when > limit)
                     return false;
                 ++pos_;
@@ -206,7 +144,7 @@ class EventQueue
 
     /**
      * step(@p limit) until it returns false: until the queue drains or
-     * the next live event lies past @p limit.
+     * the next event lies past @p limit.
      * @return the final simulation time.
      */
     Tick
@@ -223,8 +161,7 @@ class EventQueue
     struct Key
     {
         Tick when;
-        std::uint32_t seq;  ///< tie-break; doubles as cancel stamp
-        std::uint32_t slot; ///< cancellation slot, or kNoSlot
+        std::uint32_t seq; ///< tie-break: scheduling order
 
         bool
         before(const Key &o) const
@@ -281,11 +218,8 @@ class EventQueue
     ArenaVector<Entry> &bucketOf(Tick t) { return wheel_[t & kWheelMask]; }
 
     /** Route a new entry to the wheel, the near heap or the far band.
-     *  Callers run either before the first dispatch or inside one, so
-     *  now_ == base_ and `when - base_` cannot underflow for any
-     *  admissible when — except after a bounded step() left base_ ahead
-     *  of now_, where the underflow wraps huge and correctly routes
-     *  the entry to the heap (see prepareNext's backward-move flush). */
+     *  Outside step() base_ == now_, and schedule() admits no when
+     *  before now_, so `when - base_` cannot underflow. */
     void
     admit(const Key &k, const Val &v)
     {
@@ -376,14 +310,6 @@ class EventQueue
         vals_[i] = movedV;
     }
 
-    /** Whether an entry was cancelled after being armed. */
-    bool
-    dead(const Key &k) const
-    {
-        return k.slot != EventHandle::kNoSlot &&
-               slotLive_[k.slot] != k.seq;
-    }
-
     /**
      * The current bucket is exhausted: retire it and slide the window
      * to the earliest pending tick anywhere in the kernel (wheel,
@@ -428,47 +354,15 @@ class EventQueue
         return kTickNever;
     }
 
-    /** Rare slow path: a bounded step() slid the window past now_ and a
-     *  caller then scheduled behind it — push every bucketed entry back
-     *  through the heap so the window can move backward without ever
-     *  mixing ticks in a bucket. */
-    void flushWheelToHeap();
-
     /** Move the far band's next horizon window into the near heap. */
     void promoteFar();
 
-    static constexpr std::uint32_t kNoLiveSeq = 0xffffffffu;
-
-    std::uint32_t
-    allocSlot()
-    {
-        if (!freeSlots_.empty()) {
-            const std::uint32_t s = freeSlots_.back();
-            freeSlots_.pop_back();
-            return s;
-        }
-        slotLive_.push_back(kNoLiveSeq);
-        return static_cast<std::uint32_t>(slotLive_.size() - 1);
-    }
-
-    /** Retire the slot's live event (fired or cancelled) and make the
-     *  slot reusable.  Sequence numbers are unique, so a stale handle
-     *  or queue entry can never match a later occupant. */
-    void
-    freeSlot(std::uint32_t slot)
-    {
-        slotLive_[slot] = kNoLiveSeq;
-        freeSlots_.push_back(slot);
-    }
-
-    /** Dispatch a live entry (already consumed from its bucket). */
+    /** Dispatch an entry (already consumed from its bucket). */
     void
     dispatch(const Key &k, const Val &v)
     {
-        --live_;
+        --pending_;
         now_ = k.when;
-        if (k.slot != EventHandle::kNoSlot)
-            freeSlot(k.slot); // the handle is spent once the event fires
         v.client->fire(now_, v.tag);
     }
 
@@ -484,9 +378,7 @@ class EventQueue
     ArenaVector<Val> vals_; ///< mid band payloads, parallel to keys_
     ArenaVector<Entry> far_; ///< far band (unsorted; batch-promoted)
     Tick farMin_ = kTickNever; ///< earliest `when` in the far band
-    ArenaVector<std::uint32_t> slotLive_; ///< live event seq per slot
-    ArenaVector<std::uint32_t> freeSlots_;
-    std::size_t live_ = 0;
+    std::size_t pending_ = 0;
     Tick now_ = 0;
 
     /** 32-bit so the heap key stays 16 bytes; ~4.3e9 events per queue

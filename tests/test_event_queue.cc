@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, tie-breaking,
- * client dispatch, run limits, cancellable handles, and a randomized
- * differential test against a reference stable-order model.
+ * client dispatch, run limits, and a randomized differential test
+ * against a reference stable-order model.
  */
 
 #include <gtest/gtest.h>
@@ -152,9 +152,9 @@ TEST(EventQueueDeath, SchedulingInThePastPanics)
 
 TEST(EventQueue, SameTickFifoAcrossManyEventsAndKinds)
 {
-    // Hundreds of same-tick events, mixing one-shot callbacks, plain
-    // client events and cancellable ones: dispatch must stay in
-    // scheduling order whatever client or slot each entry carries.
+    // Hundreds of same-tick events, alternating one-shot callbacks and
+    // plain client events: dispatch must stay in scheduling order
+    // whatever client each entry carries.
     EventQueue eq;
     OneShots shots(eq);
     std::vector<int> order;
@@ -170,18 +170,10 @@ TEST(EventQueue, SameTickFifoAcrossManyEventsAndKinds)
     Rec rec;
     rec.order = &order;
     for (int i = 0; i < 300; ++i) {
-        switch (i % 3) {
-          case 0:
+        if (i % 2 == 0)
             shots.at(7, [&order, i](Tick) { order.push_back(i); });
-            break;
-          case 1:
+        else
             eq.schedule(7, &rec, static_cast<std::uint64_t>(i));
-            break;
-          default:
-            eq.scheduleCancellable(7, &rec,
-                                   static_cast<std::uint64_t>(i));
-            break;
-        }
     }
     eq.run();
     ASSERT_EQ(order.size(), 300u);
@@ -209,123 +201,6 @@ TEST(EventQueue, FarFutureEventsInterleaveCorrectly)
     ASSERT_EQ(fired.size(), 5u);
     EXPECT_EQ(fired, (std::vector<Tick>{0, 3, 500'000, 750'000,
                                         1'000'000}));
-}
-
-// ---------------------------------------------------------------------
-// Cancellable handles
-// ---------------------------------------------------------------------
-
-namespace
-{
-struct CountingClient : EventClient
-{
-    int fired = 0;
-    void fire(Tick, std::uint64_t) override { ++fired; }
-};
-} // namespace
-
-TEST(EventQueue, CancelledHandleNeverFires)
-{
-    EventQueue eq;
-    CountingClient c;
-    EventHandle h = eq.scheduleCancellable(10, &c, 0);
-    eq.schedule(20, &c, 0);
-    EXPECT_EQ(eq.size(), 2u);
-    EXPECT_TRUE(eq.cancel(h));
-    EXPECT_EQ(eq.size(), 1u);
-    eq.run();
-    EXPECT_EQ(c.fired, 1); // only the un-cancelled event
-    EXPECT_EQ(eq.now(), 20u);
-}
-
-TEST(EventQueue, CancelIsSingleShotAndSpentAfterFire)
-{
-    EventQueue eq;
-    CountingClient c;
-    EventHandle h = eq.scheduleCancellable(5, &c, 0);
-    EXPECT_TRUE(eq.cancel(h));
-    EXPECT_FALSE(eq.cancel(h)) << "second cancel must be a no-op";
-
-    EventHandle h2 = eq.scheduleCancellable(6, &c, 0);
-    eq.run();
-    EXPECT_EQ(c.fired, 1);
-    EXPECT_FALSE(eq.cancel(h2)) << "handle is spent once fired";
-
-    EXPECT_FALSE(eq.cancel(EventHandle{})) << "inert default handle";
-}
-
-TEST(EventQueue, CancelledSlotReuseCannotAliasNewEvent)
-{
-    // Cancel an event, schedule a replacement (which recycles the
-    // slot), and make sure the stale handle cannot kill the new event.
-    EventQueue eq;
-    CountingClient c;
-    EventHandle stale = eq.scheduleCancellable(10, &c, 0);
-    EXPECT_TRUE(eq.cancel(stale));
-    EventHandle fresh = eq.scheduleCancellable(10, &c, 0);
-    EXPECT_FALSE(eq.cancel(stale));
-    EXPECT_EQ(eq.size(), 1u);
-    eq.run();
-    EXPECT_EQ(c.fired, 1);
-    EXPECT_FALSE(eq.cancel(fresh));
-}
-
-TEST(EventQueue, CancelDeepInFarBand)
-{
-    // Far-band entries are lazily deleted too: cancel a far event and
-    // drain past its tick.
-    EventQueue eq;
-    CountingClient c;
-    EventHandle far = eq.scheduleCancellable(900'000, &c, 0);
-    eq.schedule(950'000, &c, 0);
-    EXPECT_TRUE(eq.cancel(far));
-    eq.run();
-    EXPECT_EQ(c.fired, 1);
-    EXPECT_EQ(eq.now(), 950'000u);
-}
-
-TEST(EventQueue, RunLimitBoundaryWithCancellations)
-{
-    EventQueue eq;
-    CountingClient c;
-    eq.schedule(10, &c, 0);
-    EventHandle atLimit = eq.scheduleCancellable(20, &c, 0);
-    eq.schedule(20, &c, 0);
-    eq.schedule(21, &c, 0);
-    EXPECT_TRUE(eq.cancel(atLimit));
-    eq.run(20);
-    EXPECT_EQ(c.fired, 2) << "tick-20 survivor fires, tick-21 waits";
-    EXPECT_FALSE(eq.empty());
-    eq.run();
-    EXPECT_EQ(c.fired, 3);
-}
-
-TEST(EventQueue, BackwardWindowMoveKeepsTickOrder)
-{
-    // A bounded run that only melts a cancelled event slides the window
-    // onto that event's tick without advancing now().  Work scheduled
-    // after it, behind the window, must make the window move backward
-    // (through the heap) and still dispatch in (tick, seq) order.  The
-    // tick-340 event sits in the wheel at 100 + 240 but lies past the
-    // rewound window's end (50 + 255): unless the move flushes the
-    // wheel, its bucket would be read as tick 84.
-    EventQueue eq;
-    TagRecorder rec;
-    const EventHandle h = eq.scheduleCancellable(100, &rec, 0);
-    eq.schedule(300, &rec, 1);
-    eq.schedule(300, &rec, 2);
-    eq.schedule(340, &rec, 6);
-    EXPECT_TRUE(eq.cancel(h));
-    EXPECT_EQ(eq.run(150), 0u);
-    EXPECT_TRUE(rec.seen.empty());
-    eq.schedule(50, &rec, 3);
-    eq.schedule(50, &rec, 4);
-    eq.schedule(300, &rec, 5);
-    eq.run();
-    using Fired = std::vector<std::pair<Tick, std::uint64_t>>;
-    EXPECT_EQ(rec.seen, (Fired{{50, 3}, {50, 4}, {300, 1}, {300, 2},
-                               {300, 5}, {340, 6}}));
-    EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueue, SameTickFifoAcrossBandChange)
@@ -390,17 +265,15 @@ struct Scheduler
 {
     virtual ~Scheduler() = default;
     virtual Tick now() const = 0;
-    virtual void add(Tick when, int id, bool cancellable) = 0;
-    virtual bool cancel(int id) = 0;
+    virtual void add(Tick when, int id) = 0;
 };
 
 /**
  * The clients' behaviour: every event, when it fires, schedules up to
- * two successors at edgeDelta() and sometimes cancels a pending
- * cancellable event; between bounded runs the test injects more from
- * outside.  Every choice comes from one PRNG in dispatch order, so two
- * copies stay in lockstep exactly as long as their dispatch orders
- * agree.
+ * two successors at edgeDelta(); between bounded runs the test injects
+ * more from outside.  Every choice comes from one PRNG in dispatch
+ * order, so two copies stay in lockstep exactly as long as their
+ * dispatch orders agree.
  */
 struct Script
 {
@@ -409,19 +282,8 @@ struct Script
     void
     spawn(Scheduler &s, std::uint32_t count)
     {
-        for (std::uint32_t i = 0; i < count && nextId < kBudget; ++i) {
-            const bool cancellable = prng.below(2) == 0;
-            const int id = nextId++;
-            s.add(s.now() + edgeDelta(prng), id, cancellable);
-            if (cancellable)
-                handles.push_back(id);
-        }
-        if (!handles.empty() && prng.below(4) == 0) {
-            const std::uint32_t pick =
-                prng.below(static_cast<std::uint32_t>(handles.size()));
-            cancels.push_back(s.cancel(handles[pick]));
-            handles.erase(handles.begin() + pick);
-        }
+        for (std::uint32_t i = 0; i < count && nextId < kBudget; ++i)
+            s.add(s.now() + edgeDelta(prng), nextId++);
     }
 
     void
@@ -434,9 +296,7 @@ struct Script
     static constexpr int kBudget = 3000;
     Prng prng;
     int nextId = 0;
-    std::vector<int> handles; ///< cancellable ids not yet cancelled
-    std::vector<int> order;   ///< ids in dispatch order
-    std::vector<bool> cancels; ///< what each cancel() returned
+    std::vector<int> order; ///< ids in dispatch order
 };
 
 /** The kernel contract in its plainest form: a list of pending events,
@@ -453,20 +313,9 @@ struct ReferenceScheduler : Scheduler
     Tick now() const override { return now_; }
 
     void
-    add(Tick when, int id, bool) override
+    add(Tick when, int id) override
     {
         pending.push_back(Pending{when, seq++, id});
-    }
-
-    bool
-    cancel(int id) override
-    {
-        for (auto it = pending.begin(); it != pending.end(); ++it)
-            if (it->id == id) {
-                pending.erase(it);
-                return true;
-            }
-        return false;
     }
 
     /** Dispatch everything due at or before @p limit. */
@@ -501,21 +350,9 @@ struct KernelScheduler : Scheduler, EventClient
     Tick now() const override { return eq.now(); }
 
     void
-    add(Tick when, int id, bool cancellable) override
+    add(Tick when, int id) override
     {
-        if (handles.size() <= static_cast<std::size_t>(id))
-            handles.resize(static_cast<std::size_t>(id) + 1);
-        if (cancellable)
-            handles[static_cast<std::size_t>(id)] = eq.scheduleCancellable(
-                when, this, static_cast<std::uint64_t>(id));
-        else
-            eq.schedule(when, this, static_cast<std::uint64_t>(id));
-    }
-
-    bool
-    cancel(int id) override
-    {
-        return eq.cancel(handles[static_cast<std::size_t>(id)]);
+        eq.schedule(when, this, static_cast<std::uint64_t>(id));
     }
 
     void
@@ -526,7 +363,6 @@ struct KernelScheduler : Scheduler, EventClient
 
     Script &script;
     EventQueue eq;
-    std::vector<EventHandle> handles;
 };
 
 } // namespace
@@ -534,9 +370,8 @@ struct KernelScheduler : Scheduler, EventClient
 TEST(EventQueue, DifferentialOrderAgainstReferenceModel)
 {
     // A reference model of the kernel contract: dispatch strictly by
-    // (tick, schedule order), cancelled entries silently gone.  Random
-    // schedules span the near/far split and random cancellations hit
-    // fired, pending and already-cancelled events.
+    // (tick, schedule order).  Random schedules span the near/far
+    // split.
     struct RefEvent
     {
         Tick when;
@@ -549,8 +384,6 @@ TEST(EventQueue, DifferentialOrderAgainstReferenceModel)
         EventQueue eq;
         std::vector<RefEvent> ref;
         std::vector<int> expect, got;
-        std::vector<EventHandle> handles;
-        std::vector<int> handleIds;
         std::uint64_t seq = 0;
         int nextId = 0;
 
@@ -568,38 +401,12 @@ TEST(EventQueue, DifferentialOrderAgainstReferenceModel)
 
         const int ops = 400;
         for (int i = 0; i < ops; ++i) {
-            const std::uint32_t dice = prng.below(10);
-            if (dice < 7 || handles.empty()) {
-                // Schedule at a random tick spanning both bands.
-                const Tick when = prng.below(2) == 0
-                                      ? prng.below(1'000)
-                                      : prng.below(2'000'000);
-                const int id = nextId++;
-                if (prng.below(2) == 0) {
-                    eq.schedule(when, &rec,
-                                static_cast<std::uint64_t>(id));
-                    ref.push_back(RefEvent{when, seq++, id});
-                } else {
-                    handles.push_back(eq.scheduleCancellable(
-                        when, &rec, static_cast<std::uint64_t>(id)));
-                    handleIds.push_back(id);
-                    ref.push_back(RefEvent{when, seq++, id});
-                }
-            } else {
-                // Cancel a random handle (possibly already spent).
-                const std::uint32_t pick =
-                    prng.below(static_cast<std::uint32_t>(
-                        handles.size()));
-                if (eq.cancel(handles[pick])) {
-                    const int id = handleIds[pick];
-                    ref.erase(std::find_if(ref.begin(), ref.end(),
-                                           [&](const RefEvent &e) {
-                                               return e.id == id;
-                                           }));
-                }
-                handles.erase(handles.begin() + pick);
-                handleIds.erase(handleIds.begin() + pick);
-            }
+            // Schedule at a random tick spanning both bands.
+            const Tick when = prng.below(2) == 0 ? prng.below(1'000)
+                                                 : prng.below(2'000'000);
+            const int id = nextId++;
+            eq.schedule(when, &rec, static_cast<std::uint64_t>(id));
+            ref.push_back(RefEvent{when, seq++, id});
         }
 
         std::stable_sort(ref.begin(), ref.end(),
@@ -616,9 +423,9 @@ TEST(EventQueue, DifferentialOrderAgainstReferenceModel)
     }
 
     // Clients that reschedule themselves during dispatch, weighted onto
-    // the band edges, driven through bounded runs with injections and
-    // cancellations from outside between them.  A bounded run can leave
-    // the window ahead of now(), so an injection may land behind it.
+    // the band edges, driven through bounded runs with injections from
+    // outside between them: each injection lands relative to where the
+    // bounded run stopped.
     for (std::uint64_t round = 0; round < 8; ++round) {
         Script kernelScript(round), refScript(round);
         KernelScheduler kernel(kernelScript);
@@ -636,8 +443,6 @@ TEST(EventQueue, DifferentialOrderAgainstReferenceModel)
         }
         ref.run(refScript, kTickNever);
         EXPECT_EQ(kernelScript.order, refScript.order) << "round " << round;
-        EXPECT_EQ(kernelScript.cancels, refScript.cancels)
-            << "round " << round;
         EXPECT_EQ(kernelScript.nextId, Script::kBudget) << "round " << round;
         EXPECT_TRUE(ref.pending.empty());
     }

@@ -415,6 +415,46 @@ TEST(PeriodicEngine, BlocksTheBankWhileRefreshing)
         << "refreshing a line costs one blocked cycle (Table 5.2)";
 }
 
+TEST(PeriodicEngine, RescaleMidPeriodKeepsOneVisitPerLinePerPeriod)
+{
+    // Four bursts of four lines, 250 ticks apart in a 1000-tick period.
+    // Halving the retention at tick 1100 moves each burst's next wake
+    // halfway towards 1100 (1175, 1300, 1425, 1550) and repeats it
+    // every 500 ticks.  The wakes of the old schedule (1251, 1501,
+    // 1751, 2001) still fire, and must do nothing.
+    EngineFixture f(TimePolicy::Periodic, DataPolicy::All, 0, 0, 16,
+                    1000);
+    constexpr Tick t0 = 1100;
+    f.engine->start(0);
+    f.shots.at(t0, [&](Tick now) {
+        EXPECT_TRUE(f.engine->setRetentionScale(0.5, now));
+    });
+    f.eq.run(t0);
+    ASSERT_EQ(f.counter("periodic_bursts"), 5u); // one period + burst 0
+    const std::size_t before = f.target.refreshed.size();
+
+    f.eq.run(t0 + 3 * 500);
+    EXPECT_EQ(f.counter("periodic_bursts"), 5u + 3 * 4)
+        << "three new periods of four bursts, and nothing else";
+    EXPECT_EQ(f.counter("refresh_visits"), 5u * 4 + 3 * 16);
+    EXPECT_EQ(f.counter("line_refreshes"), 5u * 4 + 3 * 16);
+    EXPECT_EQ(f.eq.size(), 4u)
+        << "one pending wake per burst once the old ones have passed";
+
+    std::vector<std::vector<Tick>> visits(16);
+    for (std::size_t i = before; i < f.target.refreshed.size(); ++i)
+        visits[f.target.refreshed[i].first].push_back(
+            f.target.refreshed[i].second);
+    for (std::uint32_t idx = 0; idx < 16; ++idx) {
+        SCOPED_TRACE(idx);
+        ASSERT_EQ(visits[idx].size(), 3u);
+        EXPECT_GT(visits[idx][0], t0);
+        EXPECT_LE(visits[idx][0], t0 + 500);
+        EXPECT_EQ(visits[idx][1] - visits[idx][0], 500u);
+        EXPECT_EQ(visits[idx][2] - visits[idx][1], 500u);
+    }
+}
+
 namespace
 {
 
