@@ -1,7 +1,6 @@
 #include "edram/refresh_engine.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/log.hh"
 
@@ -350,8 +349,7 @@ RefrintEngine::RefrintEngine(RefreshTarget &target,
                              const EngineGeometry &geom, EventQueue &eq,
                              StatGroup &stats, Arena *arena)
     : RefreshEngine(target, policy, retention, geom, eq, stats, arena),
-      heap_(arena), sentryM_(ArenaAllocator<Tick>(arena)),
-      ghosts_(ArenaAllocator<Tick>(arena))
+      heap_(arena), sentryM_(ArenaAllocator<Tick>(arena))
 {
     kind_ = EngineKind::Refrint;
     const std::uint32_t lines = target.array().numLines();
@@ -583,11 +581,7 @@ RefrintEngine::armGroup(std::uint32_t g, Tick deadline)
 void
 RefrintEngine::maybeSchedule()
 {
-    Tick top = kTickNever;
-    if (!heap_.empty())
-        top = heap_.topExpiry();
-    if (!ghosts_.empty() && ghosts_.front() < top)
-        top = ghosts_.front();
+    const Tick top = heap_.empty() ? kTickNever : heap_.topExpiry();
     if (top != kTickNever && top < scheduledAt_) {
         scheduledAt_ = top;
         eq_.schedule(top, this, 0);
@@ -598,10 +592,9 @@ void
 RefrintEngine::onRetentionRescaled(double, Tick now)
 {
     // Line sentry expiries were just re-stamped; re-key every armed
-    // group to its new deadline in place.  The superseded deadline is
-    // kept as a ghost wake time so the engine's kernel wake schedule
-    // (and with it every later event's tie-break position) matches the
-    // historical duplicate-entry heap tick for tick.
+    // group to its new deadline in place, then wake for the new top.
+    // The wake already pending stays queued and returns at once when
+    // it fires (see fire()).
     //
     // A group's key is not lowered when onInstall/onAccess renew one
     // of its sentries, so after a warming rescale a renewed sentry can
@@ -610,9 +603,6 @@ RefrintEngine::onRetentionRescaled(double, Tick now)
     for (std::uint32_t g = 0; g < numGroups_; ++g) {
         if (!heap_.contains(g))
             continue;
-        ghosts_.push_back(heap_.expiryOf(g));
-        std::push_heap(ghosts_.begin(), ghosts_.end(),
-                       std::greater<>());
         const Tick dl = groupDeadline(g);
         if (dl == kTickNever)
             heap_.remove(g);
@@ -626,14 +616,10 @@ RefrintEngine::onRetentionRescaled(double, Tick now)
 void
 RefrintEngine::fire(Tick now, std::uint64_t)
 {
+    if (now != scheduledAt_)
+        return; // a superseded wake
     scheduledAt_ = kTickNever;
     CacheArray &arr = arr_;
-
-    // Expired ghost deadlines melt silently (see ghosts_).
-    while (!ghosts_.empty() && ghosts_.front() <= now) {
-        std::pop_heap(ghosts_.begin(), ghosts_.end(), std::greater<>());
-        ghosts_.pop_back();
-    }
 
     // Drain every group whose armed deadline has passed: same-tick
     // sentry interrupts are batched into this one kernel dispatch.

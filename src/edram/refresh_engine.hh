@@ -350,7 +350,8 @@ class RefrintEngine : public RefreshEngine
     bool supportsRetentionScaling() const override { return true; }
 
   protected:
-    /** Re-arm every armed group at its (re-stamped) deadline. */
+    /** Re-arm every armed group at its (re-stamped) deadline and wake
+     *  for the new heap top. */
     void onRetentionRescaled(double rho, Tick now) override;
 
   private:
@@ -387,7 +388,6 @@ class RefrintEngine : public RefreshEngine
         bool contains(std::uint32_t g) const { return pos_[g] != kAbsent; }
         Tick topExpiry() const { return expiry_.front(); }
         std::uint32_t topGroup() const { return group_.front(); }
-        Tick expiryOf(std::uint32_t g) const { return expiry_[pos_[g]]; }
 
         /** Insert group @p g or move its existing node to @p expiry. */
         void arm(std::uint32_t g, Tick expiry);
@@ -442,18 +442,10 @@ class RefrintEngine : public RefreshEngine
     std::uint32_t numGroups_;
     GroupHeap heap_;
     ArenaVector<Tick> sentryM_; ///< packed sentry expiries (mirror)
+    /** Tick of the one wake the engine acts on; a wake at any other
+     *  tick was superseded (by an earlier arm or a rescale) and
+     *  returns at once. */
     Tick scheduledAt_ = kTickNever;
-
-    /**
-     * Deadlines superseded by a retention rescale, min-heap ordered.
-     * The engine still wakes at these times (a no-op wake that melts
-     * the ghost), reproducing the wake schedule of the historical
-     * duplicate-entry sentry heap exactly — without them, a cooling
-     * rescale would shift the sequence numbers of subsequent wakes and
-     * with them the same-tick interleaving against core events.
-     * Empty in isothermal runs.
-     */
-    ArenaVector<Tick> ghosts_;
 
     Counter *interrupts_; ///< sentry interrupts serviced (groups)
 };

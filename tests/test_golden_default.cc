@@ -9,7 +9,10 @@
  *                             header is v6, rows are unchanged v5 rows)
  *  - sweep_headline.txt       the sweep's printHeadline output
  *  - thermal_study.txt        the thermal-study table (fft, 50 us,
- *                             ambients 45/65/85)
+ *                             ambients 45/65/85); its 85 C R.WB(32,32)
+ *                             row was re-pinned when the Refrint engine
+ *                             stopped waking at the deadlines a thermal
+ *                             rescale had superseded
  *
  * The sweep's rows are read back from the sharded store it ran
  * against.  Keys and formatted output must match byte for byte.

@@ -338,6 +338,67 @@ TEST(RefrintEngine, EqualDeadlineServiceOrderIsPinned)
     }
 }
 
+namespace
+{
+
+/** A RefrintEngine that counts the kernel dispatches it receives. */
+struct WakeCountingRefrint : RefrintEngine
+{
+    using RefrintEngine::RefrintEngine;
+
+    void
+    fire(Tick now, std::uint64_t tag) override
+    {
+        ++wakes;
+        RefrintEngine::fire(now, tag);
+    }
+
+    std::uint64_t wakes = 0;
+};
+
+} // namespace
+
+TEST(RefrintEngine, RescalesCostAtMostOneIdleWakeEach)
+{
+    // Sixteen one-line groups installed 10 ticks apart, so no two
+    // sentries share a deadline and a wake services one group.  Each
+    // rescale re-keys every group and wakes for the new heap top; the
+    // wake it superseded still fires, once, and must do nothing.  So
+    // kernel dispatches exceed sentry interrupts by at most the number
+    // of rescales, however many there are.
+    MockTarget target(16);
+    EventQueue eq;
+    OneShots shots(eq);
+    StatGroup stats{"eng"};
+    WakeCountingRefrint engine(target,
+                               RefreshPolicy::refrint(DataPolicy::Valid),
+                               RetentionParams{1000, kTickNever, {}, {}},
+                               EngineGeometry{1, 4, 4}, eq, stats);
+    engine.start(0);
+    for (std::uint32_t idx = 0; idx < 16; ++idx)
+        shots.at(10 * idx, [&target, &engine, idx](Tick now) {
+            CacheLine &l = target.arr.lineAt(idx);
+            target.arr.install(VictimRef{&l, idx},
+                               static_cast<Addr>(idx) * 64, now,
+                               Mesi::Shared);
+            engine.onInstall(idx, now);
+        });
+    const double factors[] = {0.5, 1.5, 0.75, 1.0, 0.6};
+    std::uint64_t rescales = 0;
+    for (std::size_t i = 0; i < 5; ++i)
+        shots.at(1500 + 1100 * i, [&, i](Tick now) {
+            rescales += engine.setRetentionScale(factors[i], now) ? 1 : 0;
+        });
+    eq.run(10000);
+
+    const std::uint64_t interrupts =
+        stats.counter("sentry_interrupts").value();
+    EXPECT_EQ(rescales, 5u);
+    EXPECT_GT(interrupts, 100u);
+    EXPECT_LE(engine.wakes, interrupts + rescales)
+        << interrupts << " sentry interrupts";
+}
+
 // ---------------------------------------------------------------------
 // PeriodicEngine
 // ---------------------------------------------------------------------
