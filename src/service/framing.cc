@@ -7,6 +7,17 @@
 namespace refrint
 {
 
+namespace
+{
+
+/** Sanity bound on a declared payload length: no record is 16 MiB. */
+constexpr std::size_t kMaxPayload = std::size_t{1} << 24;
+
+/** Header bytes after "R <len> ": the 16 hex digits and their space. */
+constexpr std::size_t kHashField = 17;
+
+} // namespace
+
 std::string
 frameRecord(const std::string &payload)
 {
@@ -33,12 +44,12 @@ unframeRecord(const std::string &line, std::string &payload)
         if (line[i] < '0' || line[i] > '9')
             return false;
         len = len * 10 + static_cast<std::size_t>(line[i] - '0');
-        if (len > (1u << 24)) // sanity bound: no record is 16 MiB
+        if (len > kMaxPayload)
             return false;
     }
     const auto hashEnd = line.find(' ', lenEnd + 1);
     if (hashEnd == std::string::npos ||
-        hashEnd - (lenEnd + 1) != 16)
+        hashEnd - lenEnd != kHashField)
         return false;
     std::uint64_t hash = 0;
     for (std::size_t i = lenEnd + 1; i < hashEnd; ++i) {
@@ -57,6 +68,29 @@ unframeRecord(const std::string &line, std::string &payload)
         return false;
     payload = body;
     return true;
+}
+
+bool
+tornRecord(const std::string &line)
+{
+    const std::size_t n = line.size();
+    if (n == 0 || line[0] != 'R')
+        return false;
+    if (n == 1)
+        return true;
+    if (line[1] != ' ')
+        return false;
+    std::size_t i = 2, len = 0;
+    for (; i < n && line[i] >= '0' && line[i] <= '9'; ++i) {
+        len = len * 10 + static_cast<std::size_t>(line[i] - '0');
+        if (len > kMaxPayload)
+            return false;
+    }
+    if (i == n)
+        return true; // cut inside "R <len>"
+    if (i == 2 || line[i] != ' ')
+        return false;
+    return n < i + 1 + kHashField + len;
 }
 
 ScanStats

@@ -45,6 +45,12 @@ std::string frameRecord(const std::string &payload);
  *  if the header parses and length + checksum match. */
 bool unframeRecord(const std::string &line, std::string &payload);
 
+/** Whether a line that failed unframeRecord() has the shape a crash
+ *  mid-append leaves: it ends inside the "R <len> " header, or it has
+ *  that header and is shorter than the frame the length declares.
+ *  Any other bad line is corrupt. */
+bool tornRecord(const std::string &line);
+
 /** Outcome of scanning a shard file's contents. */
 struct ScanStats
 {

@@ -327,14 +327,14 @@ struct ShardScan
     std::map<std::string, std::string> last;  ///< key -> last payload
     std::vector<std::string> badLines;        ///< frame-invalid lines
     std::size_t committed = 0;
-    std::size_t tornTail = 0;
-    std::size_t midFile = 0;
+    std::size_t torn = 0;
+    std::size_t corrupt = 0;
     std::size_t duplicates = 0;
 
     bool
     needsRepair() const
     {
-        return tornTail > 0 || midFile > 0 || duplicates > 0;
+        return torn > 0 || corrupt > 0 || duplicates > 0;
     }
 };
 
@@ -342,25 +342,6 @@ ShardScan
 scanShardFile(const std::string &data)
 {
     ShardScan scan;
-    // First pass: find where the last frame-valid record ends, so
-    // damage can be classified as torn tail (after it — what a crash
-    // leaves) vs. mid-file corruption (before it — what a crash can
-    // never produce).
-    std::size_t lastValidEnd = 0;
-    {
-        std::size_t pos = 0;
-        while (pos < data.size()) {
-            auto nl = data.find('\n', pos);
-            if (nl == std::string::npos)
-                nl = data.size();
-            if (nl > pos) {
-                std::string payload;
-                if (unframeRecord(data.substr(pos, nl - pos), payload))
-                    lastValidEnd = nl;
-            }
-            pos = nl + 1;
-        }
-    }
     std::size_t pos = 0;
     while (pos < data.size()) {
         auto nl = data.find('\n', pos);
@@ -385,10 +366,10 @@ scanShardFile(const std::string &data)
                 }
             } else {
                 scan.badLines.push_back(line);
-                if (pos >= lastValidEnd)
-                    ++scan.tornTail;
+                if (tornRecord(line))
+                    ++scan.torn;
                 else
-                    ++scan.midFile;
+                    ++scan.corrupt;
             }
         }
         pos = nl + 1;
@@ -424,17 +405,15 @@ scrubStore(const std::string &dir, bool repair, std::FILE *out)
 
         report.committed += scan.committed;
         report.uniqueKeys += scan.last.size();
-        report.tornTail += scan.tornTail;
-        report.midFile += scan.midFile;
+        report.torn += scan.torn;
+        report.corrupt += scan.corrupt;
         report.duplicates += scan.duplicates;
 
-        if (scan.tornTail > 0 || scan.midFile > 0)
+        if (scan.torn > 0 || scan.corrupt > 0)
             std::fprintf(out,
-                         "shard-%03u.rsl: %zu torn-tail line(s), %zu "
-                         "mid-file corrupt line(s), %zu good "
-                         "record(s)\n",
-                         s, scan.tornTail, scan.midFile,
-                         scan.committed);
+                         "shard-%03u.rsl: %zu torn record(s), %zu "
+                         "corrupt line(s), %zu good record(s)\n",
+                         s, scan.torn, scan.corrupt, scan.committed);
 
         if (!repair || !scan.needsRepair())
             continue;

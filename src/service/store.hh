@@ -116,30 +116,30 @@ class ShardedStore : public ResultStore
 /**
  * Outcome of scrubbing a store directory (`refrint cache scrub`).
  *
- * Damage is classified by position: invalid non-blank lines after a
- * shard's last frame-valid record are a *torn tail* (the expected
- * artifact of a crash mid-append — at most one line, at the end);
- * invalid lines before it are *mid-file corruption* (bit rot, manual
- * editing, a filesystem fault) which a crash can never produce.
+ * Damage is classified by its shape (framing.hh tornRecord()): an
+ * invalid non-blank line that is a record cut short — the artifact of
+ * a crash mid-append, wherever later appends have put it in the file —
+ * is a *torn record*; any other invalid line is *corrupt* (bit rot,
+ * manual editing, a filesystem fault), which a crash cannot produce.
  */
 struct ScrubReport
 {
     unsigned shardsScanned = 0;
     std::size_t committed = 0;   ///< frame-valid records seen
     std::size_t uniqueKeys = 0;  ///< distinct keys among them
-    std::size_t tornTail = 0;    ///< invalid lines after the last
-                                 ///< valid record of their shard
-    std::size_t midFile = 0;     ///< invalid lines before it
+    std::size_t torn = 0;        ///< invalid lines that are cut-short
+                                 ///< records
+    std::size_t corrupt = 0;     ///< any other invalid lines
     std::size_t duplicates = 0;  ///< same-key re-appends
     std::size_t quarantined = 0; ///< bad lines moved to .bad (--repair)
     std::size_t compacted = 0;   ///< duplicate records dropped (--repair)
 
-    bool clean() const { return tornTail == 0 && midFile == 0; }
+    bool clean() const { return torn == 0 && corrupt == 0; }
 };
 
 /**
  * Verify every record of every shard in @p dir against its framing
- * checksum, reporting torn tails vs. mid-file corruption per shard on
+ * checksum, reporting torn records vs. corrupt lines per shard on
  * @p out (default stderr).  With @p repair, each damaged shard is
  * atomically rewritten with only its frame-valid records — duplicate
  * keys compacted to the last occurrence — and the damaged lines are

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the experiment service (src/service/): record framing,
- * the sharded result store (concurrent writers, torn tails, legacy
+ * the sharded result store (concurrent writers, torn records, legacy
  * migration), scrub & repair, resuming a killed sweep from its store
  * under injected faults ($REFRINT_FAULTS), and the serve loop's
  * overload control (queue shedding, idle timeout, SIGTERM drain).
@@ -506,11 +506,24 @@ TEST(StoreFaultTest, TornWriteCrashLeavesScrubRepairableDamage)
     ASSERT_TRUE(WIFSIGNALED(status));
     ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-    // Scrub sees the torn tail (a crash artifact, not corruption).
+    // A rerun appends after the half-written record: the victim again,
+    // into the shard that holds the torn bytes, and two new keys.
+    {
+        ShardedStore store(storeDir);
+        EXPECT_EQ(store.tornRecords(), 1u);
+        store.insert("victim", makeRow(99.0));
+        for (int i = 10; i < 12; ++i)
+            store.insert("key-" + std::to_string(i),
+                         makeRow(static_cast<double>(i)));
+        store.flush();
+    }
+
+    // Scrub sees one torn record (a crash artifact, not corruption),
+    // though good records now follow it.
     ScrubReport rep = scrubStore(storeDir, /*repair=*/false);
-    EXPECT_EQ(rep.tornTail, 1u);
-    EXPECT_EQ(rep.midFile, 0u);
-    EXPECT_EQ(rep.committed, 10u);
+    EXPECT_EQ(rep.torn, 1u);
+    EXPECT_EQ(rep.corrupt, 0u);
+    EXPECT_EQ(rep.committed, 13u);
     EXPECT_FALSE(rep.clean());
 
     // Repair quarantines it; the store then loads clean and warm.
@@ -519,14 +532,15 @@ TEST(StoreFaultTest, TornWriteCrashLeavesScrubRepairableDamage)
     EXPECT_TRUE(scrubStore(storeDir, false).clean());
     ShardedStore store(storeDir);
     EXPECT_EQ(store.tornRecords(), 0u);
-    EXPECT_EQ(store.rowCount(), 10u);
-    for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(store.rowCount(), 13u);
+    for (int i = 0; i < 12; ++i) {
         CacheRow c{};
         ASSERT_TRUE(store.lookup("key-" + std::to_string(i), c));
         EXPECT_TRUE(sameRow(c, makeRow(static_cast<double>(i))));
     }
     CacheRow c{};
-    EXPECT_FALSE(store.lookup("victim", c));
+    ASSERT_TRUE(store.lookup("victim", c));
+    EXPECT_TRUE(sameRow(c, makeRow(99.0)));
 }
 
 TEST(StoreResumeTest, KilledSweepRerunSimulatesOnlyTheMissingRows)
@@ -536,7 +550,7 @@ TEST(StoreResumeTest, KilledSweepRerunSimulatesOnlyTheMissingRows)
     const ExperimentPlan plan = smallPlan();
 
     // A sweep is killed mid-append of its sixth row: rows 0..4 are
-    // committed, row 5 is a torn tail, rows 6..7 never ran.
+    // committed, row 5 is a torn record, rows 6..7 never ran.
     std::fflush(nullptr);
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
@@ -599,17 +613,17 @@ TEST(ScrubTest, ClassifiesTornTailVsMidFileCorruption)
     const std::string pristine = readFile(shardFile);
     ASSERT_TRUE(scrubStore(storeDir, false).clean());
 
-    // Garbage after the last valid record: a torn tail.
+    // A record cut short after its header: torn.
     {
         std::ofstream out(shardFile, std::ios::app | std::ios::binary);
         out << "\nR 57 01234abc key-99;1,2";
     }
     ScrubReport rep = scrubStore(storeDir, false);
-    EXPECT_GE(rep.tornTail, 1u);
-    EXPECT_EQ(rep.midFile, 0u);
+    EXPECT_GE(rep.torn, 1u);
+    EXPECT_EQ(rep.corrupt, 0u);
 
-    // A flipped byte inside the first record: mid-file corruption,
-    // which no crash can produce.
+    // A flipped byte inside the first record leaves a full-length line
+    // that fails its checksum: corruption, which no crash can produce.
     {
         std::string damaged = pristine;
         damaged[10] ^= 0x01;
@@ -618,8 +632,8 @@ TEST(ScrubTest, ClassifiesTornTailVsMidFileCorruption)
         out << damaged;
     }
     rep = scrubStore(storeDir, false);
-    EXPECT_EQ(rep.tornTail, 0u);
-    EXPECT_GE(rep.midFile, 1u);
+    EXPECT_EQ(rep.torn, 0u);
+    EXPECT_GE(rep.corrupt, 1u);
 }
 
 TEST(ScrubTest, RandomSingleByteCorruptionIsAlwaysDetectedAndRepaired)

@@ -805,10 +805,10 @@ cmdCache(const Args &a)
     if (action == "scrub") {
         const ScrubReport rep = scrubStore(a.store, a.repair, stdout);
         std::printf("scrub: %u shard(s), %zu committed row(s), "
-                    "%zu unique key(s); %zu torn tail(s), %zu mid-file "
-                    "corruption(s), %zu duplicate(s)%s\n",
+                    "%zu unique key(s); %zu torn record(s), %zu corrupt "
+                    "line(s), %zu duplicate(s)%s\n",
                     rep.shardsScanned, rep.committed, rep.uniqueKeys,
-                    rep.tornTail, rep.midFile, rep.duplicates,
+                    rep.torn, rep.corrupt, rep.duplicates,
                     a.repair ? "" : " (use --repair to quarantine "
                                     "and rebuild)");
         if (a.repair && (rep.quarantined > 0 || rep.compacted > 0))
@@ -976,8 +976,8 @@ const Command kCommands[] = {
      "       refrint_cli cache scrub   --store DIR [--repair]\n"
      "\nMigrated rows (from a v5-v8 CSV cache) are byte-identical to\n"
      "freshly simulated ones.  Scrub verifies every record's\n"
-     "checksum, tells crash-torn tails from mid-file corruption,\n"
-     "and exits 1 on unrepaired damage.\n",
+     "checksum, tells records a crash cut short from corrupt\n"
+     "lines, and exits 1 on unrepaired damage.\n",
      cmdCache},
     {"validate", "check a result corpus against the model invariants",
      "--store --out --verbose", 0,
