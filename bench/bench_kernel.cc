@@ -265,7 +265,7 @@ main(int argc, char **argv)
         const auto t0 = std::chrono::steady_clock::now();
         const SweepResult s = bench::paperSweep();
         sweepWall = secondsSince(t0);
-        sweepSims = s.simulations;
+        sweepSims = s.metrics.simulated;
         std::printf("sweep wall  : %.3f s (%zu simulations, %zu rows)\n",
                     sweepWall, sweepSims, s.normalized.size());
     }

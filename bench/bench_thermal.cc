@@ -53,7 +53,7 @@ main(int argc, char **argv)
                     n.time);
     }
     std::printf("wall %.3f s, %zu simulations (%zu rows)\n", wallSec,
-                s.simulations, s.normalized.size());
+                s.metrics.simulated, s.normalized.size());
 
     if (jsonPath != nullptr) {
         std::ofstream out(jsonPath);
@@ -64,7 +64,7 @@ main(int argc, char **argv)
         out << "{\n"
             << "  \"bench\": \"thermal\",\n"
             << "  \"wall_s\": " << wallSec << ",\n"
-            << "  \"simulations\": " << s.simulations << ",\n"
+            << "  \"simulations\": " << s.metrics.simulated << ",\n"
             << "  \"rows\": " << s.normalized.size() << ",\n"
             << "  \"refs_per_core\": " << bench::defaultRefs() << ",\n"
             << "  \"max_temp_c\": " << hottest << "\n"

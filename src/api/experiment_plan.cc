@@ -234,6 +234,15 @@ ExperimentPlan::tryFromJson(const std::string &text, ExperimentPlan &out,
                         "deg C (0 disables the thermal subsystem)",
                         s.ambientC, resp.minAmbientC(),
                         resp.maxAmbientC());
+                // MachineConfig::validate would only panic on this in
+                // a worker; refuse it here, before any simulation.
+                if (s.config.compare(0, 2, "S.") == 0)
+                    planError("plan scenario '%s' (%s at %g deg C): the "
+                              "SmartRefresh comparator does not model "
+                              "temperature-scaled retention; a thermal "
+                              "scenario needs a P.* or R.* policy",
+                              s.app.c_str(), s.config.c_str(),
+                              s.ambientC);
             }
             const double cores = requireNumber(o, "cores", "scenario");
             // The paper machine's own range: reject here so a bad plan

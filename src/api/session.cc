@@ -228,11 +228,11 @@ Session::run(const ExperimentPlan &plan,
     if (store_ != nullptr)
         store_->flush();
 
-    out.simulations = simulated.load();
     out.metrics.scenarios = n;
-    out.metrics.simulated = out.simulations;
+    out.metrics.simulated = simulated.load();
     out.metrics.skipped = skipped.load();
-    out.metrics.cacheHits = n - out.simulations - out.metrics.skipped;
+    out.metrics.cacheHits =
+        n - out.metrics.simulated - out.metrics.skipped;
     if (out.metrics.skipped > 0)
         warn("run deadline (%.2fs) expired: abandoned %zu of %zu "
              "scenario(s) before they started",

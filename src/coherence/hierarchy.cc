@@ -48,21 +48,11 @@ struct Hierarchy::TargetAdapter : public RefreshTarget
     CacheArray &array() override { return unit.array; }
 
     void
-    refreshLine(std::uint32_t idx, Tick now) override
+    refreshLines(std::uint32_t count, Tick now) override
     {
-        (void)idx;
         (void)now;
         // Energy is charged from the engine's line_refreshes counter;
         // the per-unit tally feeds the thermal model's power input.
-        unit.noteRefresh();
-    }
-
-    bool supportsBulkRefresh() const override { return true; }
-
-    void
-    refreshLinesBulk(std::uint32_t count, Tick now) override
-    {
-        (void)now;
         unit.noteRefresh(count);
     }
 
@@ -421,7 +411,7 @@ Hierarchy::access(CoreId c, Addr a, AccessType type, Tick now,
 
     if (isStore) {
         // Request for ownership: every other copy must go.
-        t += invalidateSharers(bank, *line, c, t);
+        t += invalidateSharers(bank, *line, c);
         line->sharers = std::uint64_t{1} << c;
         line->owner = static_cast<std::int8_t>(c);
     } else {
@@ -467,7 +457,7 @@ Hierarchy::l3MissFill(std::uint32_t bank, Addr a, Tick &t)
     VictimRef v = l3u.array.pickVictim(a);
     if (v.line->valid()) {
         l3u.evictions->inc();
-        dropL3Line(bank, *v.line, t, /*refreshCaused=*/false);
+        dropL3Line(bank, *v.line, t);
     }
     t = dram_.read(t);
     l3u.array.install(v, a, t, Mesi::Shared); // "valid" marker at LLC
@@ -479,8 +469,7 @@ Hierarchy::l3MissFill(std::uint32_t bank, Addr a, Tick &t)
 }
 
 void
-Hierarchy::dropL3Line(std::uint32_t bank, CacheLine &line, Tick now,
-                      bool refreshCaused)
+Hierarchy::dropL3Line(std::uint32_t bank, CacheLine &line, Tick now)
 {
     const Addr a = line.tag;
     bool dataToDram = line.dirty;
@@ -507,7 +496,6 @@ Hierarchy::dropL3Line(std::uint32_t bank, CacheLine &line, Tick now,
     }
     if (dataToDram)
         dram_.write(now);
-    (void)refreshCaused;
     l3s_[bank]->array.invalidate(line);
 }
 
@@ -550,7 +538,7 @@ Hierarchy::ownerIntervention(std::uint32_t bank, CacheLine &line, Tick t,
 
 Tick
 Hierarchy::invalidateSharers(std::uint32_t bank, CacheLine &line,
-                             CoreId except, Tick t)
+                             CoreId except)
 {
     Tick maxLat = 0;
     for (std::uint64_t m = line.sharers; m != 0; m &= m - 1) {
@@ -562,7 +550,6 @@ Hierarchy::invalidateSharers(std::uint32_t bank, CacheLine &line,
         invalidatePrivateCopies(s, line.tag, /*countBackInval=*/false);
         maxLat = std::max(maxLat, out + back);
     }
-    (void)t;
     return maxLat;
 }
 
@@ -678,7 +665,7 @@ Hierarchy::l3RefreshInvalidate(std::uint32_t bank, std::uint32_t idx,
     CacheUnit &l3u = *l3s_[bank];
     CacheLine &line = l3u.array.lineAt(idx);
     panicIf(!line.valid(), "refresh invalidation of an invalid line");
-    dropL3Line(bank, line, now, /*refreshCaused=*/true);
+    dropL3Line(bank, line, now);
 }
 
 void
@@ -812,8 +799,7 @@ Hierarchy::checkInvariants(Tick now) const
                         "directory sharer without an L2 copy");
             }
             if (refreshAtLlc_) {
-                // 256-tick slack: see kWalkLookaheadSlack in cache_unit.
-                panicIf(l.dataExpiry + 256 < now,
+                panicIf(l.dataExpiry + kWalkLookaheadSlack < now,
                         "valid L3 line past its retention deadline");
             }
         });

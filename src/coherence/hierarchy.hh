@@ -189,8 +189,7 @@ class Hierarchy
 
     /** Evict/invalidate an LLC line: back-invalidate all upper copies,
      *  rescue dirty data to DRAM. */
-    void dropL3Line(std::uint32_t bank, CacheLine &line, Tick now,
-                    bool refreshCaused);
+    void dropL3Line(std::uint32_t bank, CacheLine &line, Tick now);
 
     /** Fetch Modified data from the owning L2 into the LLC (read path:
      *  downgrade to Shared; write path: invalidate).  Returns added
@@ -202,7 +201,7 @@ class Hierarchy
      *  invalidation round-trip latency (acks are collected at the
      *  directory before the write is granted). */
     Tick invalidateSharers(std::uint32_t bank, CacheLine &line,
-                           CoreId except, Tick t);
+                           CoreId except);
 
     /** Remove one core's private copies (L2 + both L1s) of @p a. */
     void invalidatePrivateCopies(CoreId c, Addr a, bool countBackInval);

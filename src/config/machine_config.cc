@@ -182,6 +182,14 @@ MachineConfig::validate() const
     panicIf(il1().tech != dl1().tech,
             "IL1 and DL1 must share a cell technology (the energy "
             "model aggregates them as one L1 class)");
+    for (const CacheLevelSpec &l : levels) {
+        if (thermal.enabled && l.refreshed() &&
+            l.policy.time == TimePolicy::SmartRefresh)
+            panic("%s: the SmartRefresh comparator does not model "
+                  "temperature-scaled retention; a thermal machine needs "
+                  "a P.* or R.* policy",
+                  l.name);
+    }
 }
 
 MachineConfig

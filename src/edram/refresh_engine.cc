@@ -48,7 +48,7 @@ RefreshEngine::visitLine(std::uint32_t idx, Tick now)
     switch (action) {
       case RefreshAction::Refresh:
         refreshes_->inc();
-        target_.refreshLine(idx, now);
+        target_.refreshLines(1, now);
         renewClocks(idx, line, now);
         return true;
 
@@ -104,8 +104,6 @@ rescaleStamp(Tick t, Tick now, double rho)
 bool
 RefreshEngine::setRetentionScale(double factor, Tick now)
 {
-    if (!supportsRetentionScaling())
-        return false;
     panicIf(!(factor > 0.0), "retention scale factor must be positive");
 
     Tick newCell =
@@ -221,21 +219,20 @@ PeriodicEngine::fire(Tick now, std::uint64_t tag)
     const std::uint32_t hi = std::min(lines, lo + linesPerBurst_);
 
     std::uint32_t serviced = 0;
-    if (policy_.data == DataPolicy::All && target_.supportsBulkRefresh()) {
-        // Fast path: under All every visit is a refresh, so the whole
-        // burst reduces to bulk counter charges plus the per-line clock
+    if (policy_.data == DataPolicy::All) {
+        // Under All every visit is a refresh, so the whole burst
+        // reduces to one charge per counter plus the per-line clock
         // re-stamp (visitLine would branch and virtual-call per line).
         const std::uint32_t n = hi - lo;
         visits_->inc(n);
         refreshes_->inc(n);
-        target_.refreshLinesBulk(n, now);
+        target_.refreshLines(n, now);
         for (std::uint32_t idx = lo; idx < hi; ++idx)
             renewClocks(idx, arr_.lineAt(idx), now);
         serviced = n;
-    } else if (policy_.data == DataPolicy::Valid &&
-               target_.supportsBulkRefresh()) {
-        // Fast path: Valid refreshes exactly the probe-valid lines and
-        // skips the rest; no action ever mutates line state.
+    } else if (policy_.data == DataPolicy::Valid) {
+        // Valid refreshes exactly the probe-valid lines and skips the
+        // rest; no action ever mutates line state.
         visits_->inc(hi - lo);
         const Addr *probe = arr_.probeData();
         for (std::uint32_t idx = lo; idx < hi; ++idx) {
@@ -247,27 +244,22 @@ PeriodicEngine::fire(Tick now, std::uint64_t tag)
         refreshes_->inc(serviced);
         skips_->inc((hi - lo) - serviced);
         if (serviced > 0)
-            target_.refreshLinesBulk(serviced, now);
+            target_.refreshLines(serviced, now);
     } else {
-        // General path (Dirty, WB(n,m), or a target that records each
-        // line): the Fig. 4.1 decision per line in line order, as
-        // visitLine makes it, but probe-invalid lines are skipped from
-        // the packed probe words without touching their structs, and
-        // the tallies are charged once per burst.  Only write-backs,
-        // invalidations and a per-line target's refreshes call out.
-        const bool bulk = target_.supportsBulkRefresh();
-        const bool all = policy_.data == DataPolicy::All;
+        // Dirty and WB(n,m): the Fig. 4.1 decision per line in line
+        // order, as visitLine makes it, but probe-invalid lines are
+        // skipped from the packed probe words without touching their
+        // structs, and the tallies are charged once per burst.  Only
+        // write-backs and invalidations call out per line.
         const Addr *probe = arr_.probeData();
         std::uint32_t refreshed = 0, written = 0, dropped = 0;
         for (std::uint32_t idx = lo; idx < hi; ++idx) {
-            if (!all && probe[idx] == 0)
-                continue; // invalid: every data policy but All skips it
+            if (probe[idx] == 0)
+                continue; // invalid: Dirty and WB skip it
             CacheLine &line = arr_.lineAt(idx);
             switch (decideRefresh(policy_, line)) {
               case RefreshAction::Refresh:
                 ++refreshed;
-                if (!bulk)
-                    target_.refreshLine(idx, now);
                 renewClocks(idx, line, now);
                 break;
               case RefreshAction::Writeback:
@@ -294,8 +286,8 @@ PeriodicEngine::fire(Tick now, std::uint64_t tag)
         wbs_->inc(written);
         invals_->inc(dropped);
         skips_->inc((hi - lo) - serviced - dropped);
-        if (bulk && refreshed > 0)
-            target_.refreshLinesBulk(refreshed, now);
+        if (refreshed > 0)
+            target_.refreshLines(refreshed, now);
     }
     bursts_->inc();
     // The bank is unavailable while the burst streams through the data
@@ -649,12 +641,11 @@ RefrintEngine::fire(Tick now, std::uint64_t)
         const Addr *probe = arr.probeData();
         std::uint32_t serviced = 0;
         Tick next = kTickNever;
-        if ((all || policy_.data == DataPolicy::Valid) &&
-            target_.supportsBulkRefresh()) {
-            // Fast path: every relevant line is refreshed (All/Valid
-            // never write back, invalidate or mutate state), so the
-            // visit reduces to the clock re-stamp plus bulk charges —
-            // and the group's next deadline falls out of the renewed
+        if (all || policy_.data == DataPolicy::Valid) {
+            // Every relevant line is refreshed (All/Valid never write
+            // back, invalidate or mutate state), so the visit reduces
+            // to the clock re-stamp plus one charge per counter — and
+            // the group's next deadline falls out of the renewed
             // stamps, saving the post-service group re-scan.
             for (std::uint32_t idx = lo; idx < hi; ++idx) {
                 if (!all && probe[idx] == 0)
@@ -667,10 +658,10 @@ RefrintEngine::fire(Tick now, std::uint64_t)
             visits_->inc(serviced);
             refreshes_->inc(serviced);
             if (serviced > 0)
-                target_.refreshLinesBulk(serviced, now);
+                target_.refreshLines(serviced, now);
         } else {
             for (std::uint32_t idx = lo; idx < hi; ++idx) {
-                if (!all && probe[idx] == 0)
+                if (probe[idx] == 0)
                     continue;
                 if (visitLine(idx, now))
                     ++serviced;

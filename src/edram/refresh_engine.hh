@@ -47,26 +47,10 @@ class RefreshTarget
 
     virtual CacheArray &array() = 0;
 
-    /** Charge one line refresh (energy accounting). */
-    virtual void refreshLine(std::uint32_t idx, Tick now) = 0;
-
-    /**
-     * Whether refreshLine() is a pure per-line tally (no per-index
-     * bookkeeping) so a burst may charge @p count refreshes in one call
-     * via refreshLinesBulk().  Targets that record per-line actions
-     * (test mocks, tracers) leave this false and keep the general
-     * per-line path.
-     */
-    virtual bool supportsBulkRefresh() const { return false; }
-
-    /** Charge @p count line refreshes at once (see supportsBulkRefresh). */
-    virtual void
-    refreshLinesBulk(std::uint32_t count, Tick now)
-    {
-        (void)count;
-        (void)now;
-        panic("refreshLinesBulk on a target without bulk support");
-    }
+    /** Charge @p count line refreshes (energy and thermal tallies).  A
+     *  burst or a sentry-group service charges all of its refreshes in
+     *  one call; the engine re-stamps the lines' clocks itself. */
+    virtual void refreshLines(std::uint32_t count, Tick now) = 0;
 
     /** Write the (dirty) line back to the next level; make it clean. */
     virtual void writebackLine(std::uint32_t idx, Tick now) = 0;
@@ -141,13 +125,6 @@ class RefreshEngine : public EventClient
     virtual void finish(Tick now) { (void)now; }
 
     /**
-     * Whether the engine can adapt to retention rescaling at run time
-     * (thermal subsystem).  Engines that answer false are left at their
-     * nominal retention; the thermal driver warns about them once.
-     */
-    virtual bool supportsRetentionScaling() const { return false; }
-
-    /**
      * Set the effective retention to nominal x @p factor (temperature
      * update from the thermal driver, src/thermal/).
      *
@@ -163,7 +140,6 @@ class RefreshEngine : public EventClient
      *
      * The effective retention is floored at twice the sentry margin so
      * a pathological temperature can never consume the entire period.
-     * No-op on engines that do not support scaling.
      *
      * @return true if the effective retention actually changed.
      */
@@ -284,8 +260,6 @@ class PeriodicEngine : public RefreshEngine
 
     void fire(Tick now, std::uint64_t tag) override;
 
-    bool supportsRetentionScaling() const override { return true; }
-
   protected:
     /** Reschedule every burst at its phase position compressed (or
      *  stretched) to the new period under a new generation; the
@@ -346,8 +320,6 @@ class RefrintEngine : public RefreshEngine
     }
 
     void fire(Tick now, std::uint64_t tag) override;
-
-    bool supportsRetentionScaling() const override { return true; }
 
   protected:
     /** Re-arm every armed group at its (re-stamped) deadline and wake

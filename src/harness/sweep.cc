@@ -58,21 +58,13 @@ SweepSpec::finalize()
 namespace
 {
 
-/** Machine handling of one mean: a single named machine, the sole
- *  machine present (fatal when several match), or an explicit pool. */
-enum class MachineRule
-{
-    Exact,
-    Sole,
-    Pooled,
-};
-
+/** One mean over the matching rows of @p machine, or, when it is
+ *  null, of the sole machine present (fatal when several match). */
 double
 averageRows(const std::vector<NormalizedResult> &rows,
             double retentionUs, const std::string &config,
             const std::vector<std::string> &apps,
-            double NormalizedResult::*field, MachineRule rule,
-            const std::string &machine)
+            double NormalizedResult::*field, const std::string *machine)
 {
     double sum = 0;
     std::size_t n = 0;
@@ -85,17 +77,17 @@ averageRows(const std::vector<NormalizedResult> &rows,
         if (!apps.empty() &&
             std::find(apps.begin(), apps.end(), r.app) == apps.end())
             continue;
-        if (rule == MachineRule::Exact && r.machine != machine)
-            continue;
-        if (rule == MachineRule::Sole) {
-            if (sole == nullptr)
-                sole = &r.machine;
-            else if (*sole != r.machine)
-                fatal("SweepResult::average(%s @ %.1f us) matches rows "
-                      "from several machines ('%s' and '%s'); pass the "
-                      "machine explicitly or pool with averagePooled()",
-                      config.c_str(), retentionUs, sole->c_str(),
-                      r.machine.c_str());
+        if (machine != nullptr) {
+            if (r.machine != *machine)
+                continue;
+        } else if (sole == nullptr) {
+            sole = &r.machine;
+        } else if (*sole != r.machine) {
+            fatal("SweepResult::average(%s @ %.1f us) matches rows from "
+                  "several machines ('%s' and '%s'); pass the machine "
+                  "explicitly",
+                  config.c_str(), retentionUs, sole->c_str(),
+                  r.machine.c_str());
         }
         sum += r.*field;
         ++n;
@@ -111,7 +103,7 @@ SweepResult::average(double retentionUs, const std::string &config,
                      double NormalizedResult::*field) const
 {
     return averageRows(normalized, retentionUs, config, apps, field,
-                       MachineRule::Sole, "");
+                       nullptr);
 }
 
 double
@@ -121,17 +113,7 @@ SweepResult::average(double retentionUs, const std::string &config,
                      const std::string &machine) const
 {
     return averageRows(normalized, retentionUs, config, apps, field,
-                       MachineRule::Exact, machine);
-}
-
-double
-SweepResult::averagePooled(double retentionUs,
-                           const std::string &config,
-                           const std::vector<std::string> &apps,
-                           double NormalizedResult::*field) const
-{
-    return averageRows(normalized, retentionUs, config, apps, field,
-                       MachineRule::Pooled, "");
+                       &machine);
 }
 
 const NormalizedResult *

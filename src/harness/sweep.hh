@@ -118,11 +118,8 @@ struct SweepResult
     std::vector<RunResult> raw;             ///< includes SRAM baselines
     std::vector<NormalizedResult> normalized;
 
-    /** Simulations actually executed (store misses); a warm-store
-     *  sweep reports 0. */
-    std::size_t simulations = 0;
-
-    /** Run observability counters (see RunMetrics). */
+    /** Run observability counters (see RunMetrics); a warm-store sweep
+     *  reports metrics.simulated == 0. */
     RunMetrics metrics;
 
     /**
@@ -130,7 +127,7 @@ struct SweepResult
      * (retention in us; empty app list = all apps).  The mean never
      * silently pools across machines: if the matching rows span more
      * than one machine this is fatal — name the machine with the
-     * overload below, or pool explicitly via averagePooled().
+     * overload below.
      */
     double average(double retentionUs, const std::string &config,
                    const std::vector<std::string> &apps,
@@ -142,12 +139,6 @@ struct SweepResult
                    const std::vector<std::string> &apps,
                    double NormalizedResult::*field,
                    const std::string &machine) const;
-
-    /** Explicitly opt into pooling every machine's rows into one
-     *  mean (the pre-PR-5 behavior of average()). */
-    double averagePooled(double retentionUs, const std::string &config,
-                         const std::vector<std::string> &apps,
-                         double NormalizedResult::*field) const;
 
     /**
      * Locate a row by (app, retention, config).  retentionUs <= 0

@@ -19,7 +19,8 @@
 namespace refrint
 {
 
-/** Hierarchy-walk lookahead tolerated by the decay check (touchLine). */
+/** Hierarchy-walk lookahead tolerated by the decay check (touchLine)
+ *  and by Hierarchy::checkInvariants' retention check. */
 constexpr Tick kWalkLookaheadSlack = 256;
 
 class CacheUnit
@@ -118,7 +119,7 @@ class CacheUnit
     }
 
     /** Count @p n refresh-engine line refreshes on this unit. */
-    void noteRefresh(std::uint64_t n = 1) { refreshTally += n; }
+    void noteRefresh(std::uint64_t n) { refreshTally += n; }
 
     /** Engine callback on a demand access, devirtualized for the two
      *  concrete engine kinds (qualified calls compile to direct,

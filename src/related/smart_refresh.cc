@@ -9,13 +9,13 @@ SmartRefreshEngine::SmartRefreshEngine(RefreshTarget &target,
                                        const RefreshPolicy &policy,
                                        const RetentionParams &retention,
                                        const EngineGeometry &geom,
-                                       EventQueue &eq, StatGroup &stats,
-                                       std::uint32_t counterBits)
+                                       EventQueue &eq, StatGroup &stats)
     : RefreshEngine(target, policy, retention, geom, eq, stats)
 {
-    panicIf(counterBits == 0 || counterBits > 16,
+    const std::uint32_t bits = geom.smartCounterBits;
+    panicIf(bits == 0 || bits > 16,
             "SmartRefresh counter width out of range");
-    const std::uint32_t numPhases = 1u << counterBits;
+    const std::uint32_t numPhases = 1u << bits;
     phaseLen_ = cellRetention_ / numPhases;
     panicIf(phaseLen_ == 0, "retention shorter than the phase clock");
     phaseScans_ = &stats.counter("smart_phase_scans");
@@ -89,9 +89,8 @@ makeSmartRefreshEngine(RefreshTarget &target, const RefreshPolicy &policy,
                        const EngineGeometry &geom, EventQueue &eq,
                        StatGroup &stats)
 {
-    return std::make_unique<SmartRefreshEngine>(
-        target, policy, retention, geom, eq, stats,
-        geom.smartCounterBits);
+    return std::make_unique<SmartRefreshEngine>(target, policy, retention,
+                                                geom, eq, stats);
 }
 
 } // namespace refrint

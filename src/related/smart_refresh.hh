@@ -31,15 +31,13 @@ namespace refrint
 class SmartRefreshEngine : public RefreshEngine
 {
   public:
-    /**
-     * @param counterBits  Width k of the per-line timeout counter; the
-     *                     global phase clock ticks 2^k times per
-     *                     retention period (Ghosh & Lee use 3 bits).
-     */
+    /** The per-line timeout counter is k = geom.smartCounterBits wide;
+     *  the global phase clock ticks 2^k times per retention period
+     *  (Ghosh & Lee use 3 bits). */
     SmartRefreshEngine(RefreshTarget &target, const RefreshPolicy &policy,
                        const RetentionParams &retention,
                        const EngineGeometry &geom, EventQueue &eq,
-                       StatGroup &stats, std::uint32_t counterBits = 3);
+                       StatGroup &stats);
 
     void start(Tick now) override;
     void onInstall(std::uint32_t idx, Tick now) override;

@@ -37,12 +37,6 @@ ThermalDriver::ThermalDriver(const ThermalParams &params,
 void
 ThermalDriver::addUnit(CacheUnit &unit, double leakW, double eAccessJ)
 {
-    if (unit.engine != nullptr &&
-        !unit.engine->supportsRetentionScaling() && !warnedStatic_) {
-        warn("thermal: a refresh engine does not support retention "
-             "scaling; leaving it at nominal retention");
-        warnedStatic_ = true;
-    }
     nodes_.push_back(Node{&unit, leakW, eAccessJ,
                           ThermalNode(params_.ambientC,
                                       params_.rThetaKperW,
@@ -61,8 +55,7 @@ ThermalDriver::start(Tick now)
     for (Node &n : nodes_) {
         n.lastAccesses = n.unit->accessTally;
         n.lastRefreshes = n.unit->refreshTally;
-        if (n.unit->engine != nullptr &&
-            n.unit->engine->supportsRetentionScaling()) {
+        if (n.unit->engine != nullptr) {
             if (n.unit->engine->setRetentionScale(factor0, now))
                 rescales_->inc();
             n.appliedFactor = factor0;
@@ -91,8 +84,7 @@ ThermalDriver::fire(Tick now, std::uint64_t)
             maxTempC_ = std::max(maxTempC_, tempC);
 
             RefreshEngine *engine = n.unit->engine;
-            if (engine == nullptr ||
-                !engine->supportsRetentionScaling())
+            if (engine == nullptr)
                 continue;
             const double factor = response_.factorAt(tempC);
             const double rel = std::abs(factor - n.appliedFactor) /

@@ -162,7 +162,6 @@ class ThermalDriver : public EventClient
     std::vector<Node> nodes_;
     Tick lastTick_ = 0;
     double maxTempC_;
-    bool warnedStatic_ = false;
 
     Counter *epochs_;
     Counter *rescales_;

@@ -580,6 +580,28 @@ TEST(ExperimentPlanTest, LoaderRejectsBrokenPlans)
         ::testing::ExitedWithCode(1), "baseline");
     EXPECT_EXIT(ExperimentPlan::fromJson(scenarioWith("refs", "nan")),
                 ::testing::ExitedWithCode(1), "cannot parse plan");
+
+    // The SmartRefresh comparator does not model temperature-scaled
+    // retention: a thermal S.* scenario dies at load time, and the
+    // serve path sees the same rule as a recoverable error.  The same
+    // scenario without an ambient loads.
+    auto smartAt = [](const char *ambientC) {
+        return std::string("{\"plan\": \"x\", \"version\": 1, "
+                           "\"scenarios\": [{\"app\": \"fft\", "
+                           "\"config\": \"S.all\", \"retentionUs\": 50, "
+                           "\"ambientC\": ") +
+               ambientC +
+               ", \"cores\": 16, \"refs\": 100, \"seed\": 1, "
+               "\"baseline\": -1}]}";
+    };
+    EXPECT_EXIT(ExperimentPlan::fromJson(smartAt("85")),
+                ::testing::ExitedWithCode(1), "SmartRefresh");
+    ExperimentPlan plan;
+    std::string err;
+    EXPECT_FALSE(ExperimentPlan::tryFromJson(smartAt("85"), plan, err));
+    EXPECT_NE(err.find("P.* or R.*"), std::string::npos) << err;
+    EXPECT_TRUE(ExperimentPlan::tryFromJson(smartAt("0"), plan, err))
+        << err;
 }
 
 TEST(ExperimentPlanTest, LoaderRejectsCrossFamilyBaselines)
@@ -731,7 +753,7 @@ TEST(SessionTest, StreamsRowsInPlanOrderToEverySink)
     EXPECT_TRUE(rec.hadNorm[2]);
     EXPECT_EQ(res.raw.size(), 3u);
     EXPECT_EQ(res.normalized.size(), 2u);
-    EXPECT_EQ(res.simulations, 3u);
+    EXPECT_EQ(res.metrics.simulated, 3u);
 }
 
 TEST(SessionTest, JsonLinesSinkEmitsOneValidObjectPerRow)
@@ -1007,19 +1029,19 @@ TEST(SessionTest, ModifiedEnergyModelNeverReusesDefaultRows)
 
     Session session(std::make_unique<ShardedStore>(dir), 1);
     const SweepResult calibrated = session.run(microPlan(u));
-    EXPECT_EQ(calibrated.simulations, 3u);
+    EXPECT_EQ(calibrated.metrics.simulated, 3u);
 
     // Same scenarios, different energy model: the warm store must NOT
     // satisfy them (the legacy engine silently reused such rows).
     ExperimentPlan tweaked = microPlan(u);
     tweaked.energy.eL3Access *= 100.0;
     const SweepResult rerun = session.run(tweaked);
-    EXPECT_EQ(rerun.simulations, 3u);
+    EXPECT_EQ(rerun.metrics.simulated, 3u);
     EXPECT_NE(rerun.raw[1].energy.l3, calibrated.raw[1].energy.l3);
 
     // And the tweaked rows are themselves stored under their tag.
     const SweepResult warm = session.run(tweaked);
-    EXPECT_EQ(warm.simulations, 0u);
+    EXPECT_EQ(warm.metrics.simulated, 0u);
     std::filesystem::remove_all(dir);
 }
 
@@ -1031,10 +1053,10 @@ TEST(SessionTest, SharesWarmCacheRowsAcrossRuns)
 
     Session session(std::make_unique<ShardedStore>(dir), 2);
     const SweepResult first = session.run(microPlan(u));
-    EXPECT_EQ(first.simulations, 3u);
+    EXPECT_EQ(first.metrics.simulated, 3u);
     // Same session, same plan: everything is already in the store.
     const SweepResult again = session.run(microPlan(u));
-    EXPECT_EQ(again.simulations, 0u);
+    EXPECT_EQ(again.metrics.simulated, 0u);
     ASSERT_EQ(again.raw.size(), first.raw.size());
     EXPECT_EQ(again.raw[1].execTicks, first.raw[1].execTicks);
     std::filesystem::remove_all(dir);
@@ -1076,10 +1098,10 @@ TEST(SessionTest, MethodWorkloadsRoundTripPlanJsonAndCache)
         EXPECT_EQ(reloaded.toJson(), plan.toJson()) << spec;
 
         const SweepResult cold = session.run(plan);
-        EXPECT_EQ(cold.simulations, 2u) << spec;
+        EXPECT_EQ(cold.metrics.simulated, 2u) << spec;
         // The reloaded plan must hit the very same store rows.
         const SweepResult warm = session.run(reloaded);
-        EXPECT_EQ(warm.simulations, 0u) << spec;
+        EXPECT_EQ(warm.metrics.simulated, 0u) << spec;
         ASSERT_EQ(warm.raw.size(), cold.raw.size());
         EXPECT_EQ(warm.raw[1].execTicks, cold.raw[1].execTicks);
         // The latency block replays through the store bit-exactly.
@@ -1204,11 +1226,7 @@ TEST(SweepResultIdentityTest, AverageRefusesSilentCrossMachinePooling)
     EXPECT_DOUBLE_EQ(s.average(50.0, "P.all", all,
                                &NormalizedResult::memEnergy, "c32"),
                      1.00);
-    // Pooling across machines is an explicit opt-in...
-    EXPECT_DOUBLE_EQ(s.averagePooled(50.0, "P.all", all,
-                                     &NormalizedResult::memEnergy),
-                     (0.40 + 0.60 + 1.00) / 3.0);
-    // ...never an accident.
+    // Pooling across machines is never an accident.
     EXPECT_EXIT(
         s.average(50.0, "P.all", all, &NormalizedResult::memEnergy),
         ::testing::ExitedWithCode(1), "several machines");

@@ -263,6 +263,14 @@ TEST_F(Cli, RejectedInvocationsExitTwo)
             {{"trace-run", "--in", "missing.trc", "--retention", "200",
               "--sram"},
              "--retention has no effect with --sram"},
+            // A thermal machine needs an engine that follows its
+            // retention; the SmartRefresh comparator does not.
+            {{"run", "--policy", "S.all", "--ambient", "85", "--refs",
+              "200"},
+             "--ambient needs a P.* or R.* --policy"},
+            {{"trace-run", "--in", "missing.trc", "--policy", "S.valid",
+              "--ambient", "85"},
+             "--ambient needs a P.* or R.* --policy"},
             {{"cache", "scrub", "--store", "x", "--in", "F"},
              "cache scrub does not take --in"},
             {{"cache", "migrate", "--in", "F", "--store", "x", "--repair"},

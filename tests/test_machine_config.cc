@@ -142,6 +142,19 @@ TEST(MachineConfig, ValidateRejectsBrokenDescriptorSets)
     MachineConfig emptyName = MachineConfig::paper();
     emptyName.l2().name = "";
     EXPECT_DEATH(emptyName.validate(), "needs a name");
+
+    // The SmartRefresh comparator does not follow a thermal machine's
+    // retention, on the paper machine or on a hybrid one.
+    const RefreshPolicy smart{TimePolicy::SmartRefresh, DataPolicy::All,
+                              0, 0};
+    EXPECT_DEATH(MachineConfig::paperEdramThermal(smart, usToTicks(50.0),
+                                                  85.0)
+                     .validate(),
+                 "SmartRefresh");
+    MachineConfig hybridSmart =
+        MachineConfig::paperHybrid(smart, usToTicks(50.0));
+    hybridSmart.thermal.enabled = true;
+    EXPECT_DEATH(hybridSmart.validate(), "SmartRefresh");
 }
 
 TEST(MachineSmoke, BinningMeasuresVisibilityOnTheSramTwin)

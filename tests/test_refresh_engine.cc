@@ -1,11 +1,14 @@
 /**
  * @file
  * Unit tests for the refresh engines, using a mock RefreshTarget so the
- * engines are exercised in isolation from the coherence hierarchy.
+ * engines are exercised in isolation from the coherence hierarchy.  The
+ * mock receives exactly the calls the hierarchy's adapter does, so
+ * every test runs the service loops production runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/prng.hh"
@@ -18,9 +21,11 @@ namespace refrint::test
 namespace
 {
 
-/** RefreshTarget recording every action the engine takes.  With
- *  @c bulk set it accepts bulk refresh charges (as the hierarchy's
- *  adapter does) and records each as one (count, tick) call. */
+using Calls = std::vector<std::pair<std::uint32_t, Tick>>;
+
+/** RefreshTarget recording every action the engine takes, through the
+ *  calls the hierarchy's adapter receives: each refresh charge as one
+ *  (count, tick) call, each write-back and invalidation as (idx, tick). */
 struct MockTarget : RefreshTarget
 {
     explicit MockTarget(std::uint32_t lines)
@@ -33,17 +38,9 @@ struct MockTarget : RefreshTarget
     CacheArray &array() override { return arr; }
 
     void
-    refreshLine(std::uint32_t idx, Tick now) override
+    refreshLines(std::uint32_t count, Tick now) override
     {
-        refreshed.emplace_back(idx, now);
-    }
-
-    bool supportsBulkRefresh() const override { return bulk; }
-
-    void
-    refreshLinesBulk(std::uint32_t count, Tick now) override
-    {
-        bulkRefreshed.emplace_back(count, now);
+        refreshed.emplace_back(count, now);
     }
 
     void
@@ -70,9 +67,7 @@ struct MockTarget : RefreshTarget
     const char *name() const override { return "mock"; }
 
     CacheArray arr;
-    bool bulk = false;
-    std::vector<std::pair<std::uint32_t, Tick>> refreshed, wrote,
-        invalidated, bulkRefreshed;
+    Calls refreshed, wrote, invalidated;
     Tick busyCycles = 0;
 };
 
@@ -94,6 +89,14 @@ struct EngineFixture
     counter(const char *name)
     {
         return stats.counter(name).value();
+    }
+
+    /** Line @p idx's data-cell deadline: a line the engine refreshed
+     *  at t holds t + retention. */
+    Tick
+    expiry(std::uint32_t idx)
+    {
+        return target.arr.lineAt(idx).dataExpiry;
     }
 
     /** Install a valid line at @p idx and tell the engine. */
@@ -124,17 +127,19 @@ struct EngineFixture
 
 TEST(RefrintEngine, SentryMarginFollowsLineCount)
 {
-    // 16 lines, retention 1000 -> sentry fires at 1000 - 16 = 984.
+    // 16 lines, retention 1000 -> sentry fires at 1000 - 16 = 984, and
+    // the service renews the cells for a full retention.
     EngineFixture f(TimePolicy::Refrint, DataPolicy::Valid, 0, 0, 16,
                     1000);
     f.engine->start(0);
     f.install(3, 0);
     f.eq.run(983);
-    EXPECT_TRUE(f.target.refreshed.empty());
+    EXPECT_EQ(f.counter("line_refreshes"), 0u);
+    EXPECT_EQ(f.expiry(3), 1000u);
     f.eq.run(984);
-    ASSERT_EQ(f.target.refreshed.size(), 1u);
-    EXPECT_EQ(f.target.refreshed[0].first, 3u);
-    EXPECT_EQ(f.target.refreshed[0].second, 984u);
+    EXPECT_EQ(f.counter("line_refreshes"), 1u);
+    EXPECT_EQ(f.expiry(3), 984u + 1000);
+    EXPECT_EQ(f.target.refreshed, (Calls{{1, 984}}));
 }
 
 TEST(RefrintEngine, AccessDefersTheSentry)
@@ -146,9 +151,11 @@ TEST(RefrintEngine, AccessDefersTheSentry)
     // Touch the line at 500: next decay moves to 1484.
     f.shots.at(500, [&](Tick t) { f.engine->onAccess(3, t); });
     f.eq.run(1483);
-    EXPECT_TRUE(f.target.refreshed.empty());
+    EXPECT_EQ(f.counter("line_refreshes"), 0u);
+    EXPECT_EQ(f.expiry(3), 500u + 1000);
     f.eq.run(1484);
-    EXPECT_EQ(f.target.refreshed.size(), 1u);
+    EXPECT_EQ(f.counter("line_refreshes"), 1u);
+    EXPECT_EQ(f.expiry(3), 1484u + 1000);
 }
 
 TEST(RefrintEngine, HotLineNeverExplicitlyRefreshed)
@@ -161,8 +168,10 @@ TEST(RefrintEngine, HotLineNeverExplicitlyRefreshed)
     for (Tick t = 400; t <= 4000; t += 400)
         f.shots.at(t, [&](Tick now) { f.engine->onAccess(5, now); });
     f.eq.run(4000);
-    EXPECT_TRUE(f.target.refreshed.empty())
+    EXPECT_EQ(f.counter("line_refreshes"), 0u)
         << "accesses auto-refresh; the sentry must keep deferring";
+    EXPECT_TRUE(f.target.refreshed.empty());
+    EXPECT_EQ(f.expiry(5), 4000u + 1000);
 }
 
 TEST(RefrintEngine, IdleValidLineRefreshedOncePerSentryPeriod)
@@ -172,7 +181,10 @@ TEST(RefrintEngine, IdleValidLineRefreshedOncePerSentryPeriod)
     f.engine->start(0);
     f.install(0, 0);
     f.eq.run(984 * 4 + 10);
-    EXPECT_EQ(f.target.refreshed.size(), 4u);
+    EXPECT_EQ(f.counter("line_refreshes"), 4u);
+    EXPECT_EQ(f.target.refreshed,
+              (Calls{{1, 984}, {1, 1968}, {1, 2952}, {1, 3936}}));
+    EXPECT_EQ(f.expiry(0), 984u * 4 + 1000);
 }
 
 TEST(RefrintEngine, InvalidLinesAreNotTracked)
@@ -181,18 +193,31 @@ TEST(RefrintEngine, InvalidLinesAreNotTracked)
                     1000);
     f.engine->start(0);
     f.eq.run(5000);
+    EXPECT_EQ(f.counter("line_refreshes"), 0u);
     EXPECT_TRUE(f.target.refreshed.empty());
     EXPECT_TRUE(f.eq.empty()) << "nothing armed, nothing scheduled";
 }
 
 TEST(RefrintEngine, AllPolicyRefreshesInvalidLinesToo)
 {
+    // start() staggers the 16 one-line groups across the 984-tick
+    // sentry period; each is then serviced every 984 ticks, and each
+    // service renews its never-installed line for a full retention.
     EngineFixture f(TimePolicy::Refrint, DataPolicy::All, 0, 0, 16,
                     1000);
     f.engine->start(0);
     f.eq.run(2000);
-    // All 16 (invalid) lines refreshed at least twice in two periods.
-    EXPECT_GE(f.target.refreshed.size(), 32u);
+    std::uint64_t services = 0;
+    for (std::uint32_t idx = 0; idx < 16; ++idx) {
+        Tick last = 1 + 984 * idx / 16;
+        ++services;
+        for (; last + 984 <= 2000; last += 984)
+            ++services;
+        EXPECT_EQ(f.expiry(idx), last + 1000) << idx;
+    }
+    EXPECT_GE(services, 32u);
+    EXPECT_EQ(f.counter("line_refreshes"), services);
+    EXPECT_EQ(f.target.refreshed.size(), services);
     EXPECT_TRUE(f.target.invalidated.empty());
 }
 
@@ -204,10 +229,10 @@ TEST(RefrintEngine, DirtyPolicyInvalidatesCleanOnDecay)
     f.install(1, 0, /*dirty=*/false);
     f.install(2, 0, /*dirty=*/true);
     f.eq.run(1200);
-    ASSERT_EQ(f.target.invalidated.size(), 1u);
-    EXPECT_EQ(f.target.invalidated[0].first, 1u);
-    ASSERT_EQ(f.target.refreshed.size(), 1u);
-    EXPECT_EQ(f.target.refreshed[0].first, 2u);
+    EXPECT_EQ(f.target.invalidated, (Calls{{1, 984}}));
+    EXPECT_EQ(f.counter("line_refreshes"), 1u);
+    EXPECT_EQ(f.target.refreshed, (Calls{{1, 984}}));
+    EXPECT_EQ(f.expiry(2), 984u + 1000);
 }
 
 TEST(RefrintEngine, WbLifecycleOnIdleDirtyLine)
@@ -218,15 +243,17 @@ TEST(RefrintEngine, WbLifecycleOnIdleDirtyLine)
     f.engine->start(0);
     f.install(4, 0, /*dirty=*/true);
     f.eq.run(984 * 5);
-    EXPECT_EQ(f.target.refreshed.size(), 3u); // 2 dirty + 1 clean
-    EXPECT_EQ(f.target.wrote.size(), 1u);
-    EXPECT_EQ(f.target.invalidated.size(), 1u);
+    EXPECT_EQ(f.counter("line_refreshes"), 3u); // 2 dirty + 1 clean
+    EXPECT_EQ(f.target.refreshed, (Calls{{1, 984}, {1, 1968}, {1, 3936}}));
+    EXPECT_EQ(f.target.wrote, (Calls{{4, 2952}}));
+    EXPECT_EQ(f.target.invalidated, (Calls{{4, 4920}}));
 }
 
 TEST(RefrintEngine, GroupedSentriesServiceWholeGroup)
 {
     // Group size 4: installing one line arms its group; when the sentry
-    // fires, every valid line of the group is serviced together.
+    // fires, every valid line of the group is serviced together, in one
+    // charge, and the group re-arms for the next period.
     EngineFixture f(TimePolicy::Refrint, DataPolicy::Valid, 0, 0, 16,
                     1000, /*groupSize=*/4);
     f.engine->start(0);
@@ -235,8 +262,13 @@ TEST(RefrintEngine, GroupedSentriesServiceWholeGroup)
     f.install(2, 0);
     f.install(9, 0); // different group
     f.eq.run(990);
-    EXPECT_EQ(f.target.refreshed.size(), 4u);
+    EXPECT_EQ(f.target.refreshed, (Calls{{3, 984}, {1, 984}}));
+    EXPECT_EQ(f.counter("line_refreshes"), 4u);
     EXPECT_EQ(f.target.busyCycles, 4u) << "one stolen cycle per line";
+    f.eq.run(984 * 3);
+    EXPECT_EQ(f.counter("line_refreshes"), 12u);
+    for (std::uint32_t idx : {0u, 1u, 2u, 9u})
+        EXPECT_EQ(f.expiry(idx), 984u * 3 + 1000) << idx;
 }
 
 TEST(RefrintEngine, GroupFiresAtEarliestMemberDeadline)
@@ -249,7 +281,52 @@ TEST(RefrintEngine, GroupFiresAtEarliestMemberDeadline)
     // member's deadline, refreshing both (the grouping cost).
     f.shots.at(500, [&](Tick t) { f.install(1, t); });
     f.eq.run(984);
-    EXPECT_EQ(f.target.refreshed.size(), 2u);
+    EXPECT_EQ(f.target.refreshed, (Calls{{2, 984}}));
+    EXPECT_EQ(f.expiry(0), 984u + 1000);
+    EXPECT_EQ(f.expiry(1), 984u + 1000);
+}
+
+TEST(RefrintEngine, GroupsReArmAtTheirEarliestRenewedSentry)
+{
+    // Per-line retention variation gives each line of a group its own
+    // sentry period, so a service must re-arm the group at the earliest
+    // sentry among the lines it renewed.  Under All, start() staggers
+    // group g's first deadline to 1 + (T - margin) * g / groups; from
+    // there the group is serviced every p = min(retention) - margin
+    // ticks over its lines, and each service renews each line for its
+    // own retention.
+    constexpr std::uint32_t kLines = 32, kGroup = 4;
+    constexpr std::uint32_t kGroups = kLines / kGroup;
+    constexpr Tick kT = 1000, kMargin = kLines, kEnd = 20'000;
+    RetentionParams ret{kT, kTickNever, {}, {}};
+    ret.variation.enabled = true;
+    const std::vector<Tick> own = ret.drawLineRetentions(kLines);
+    MockTarget target(kLines);
+    EventQueue eq;
+    StatGroup stats{"eng"};
+    RefrintEngine engine(target, RefreshPolicy::refrint(DataPolicy::All),
+                         ret, EngineGeometry{kGroup, 4, 4}, eq, stats);
+    engine.start(0);
+    eq.run(kEnd);
+
+    std::uint64_t services = 0, refreshes = 0;
+    for (std::uint32_t g = 0; g < kGroups; ++g) {
+        const std::uint32_t lo = g * kGroup, hi = lo + kGroup;
+        Tick period = kTickNever;
+        for (std::uint32_t idx = lo; idx < hi; ++idx)
+            period = std::min(period, own[idx] - kMargin);
+        const Tick first = 1 + (kT - kMargin) * g / kGroups;
+        const Tick n = (kEnd - first) / period + 1;
+        const Tick last = first + (n - 1) * period;
+        services += n;
+        refreshes += n * kGroup;
+        for (std::uint32_t idx = lo; idx < hi; ++idx)
+            EXPECT_EQ(target.arr.lineAt(idx).dataExpiry, last + own[idx])
+                << "group " << g << " line " << idx;
+    }
+    EXPECT_EQ(stats.counter("sentry_interrupts").value(), services);
+    EXPECT_EQ(stats.counter("line_refreshes").value(), refreshes);
+    EXPECT_EQ(target.busyCycles, refreshes);
 }
 
 TEST(RefrintEngine, BusyCyclesMatchServicedLines)
@@ -260,15 +337,16 @@ TEST(RefrintEngine, BusyCyclesMatchServicedLines)
     for (std::uint32_t i = 0; i < 8; ++i)
         f.install(i, 0);
     f.eq.run(990);
+    EXPECT_EQ(f.counter("line_refreshes"), 8u);
     EXPECT_EQ(f.target.busyCycles, 8u);
 }
 
 namespace
 {
 
-/** FNV-1a over a recorded (idx, tick) call sequence. */
+/** FNV-1a over a recorded call sequence. */
 std::uint64_t
-digest(const std::vector<std::pair<std::uint32_t, Tick>> &calls)
+digest(const Calls &calls)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](std::uint64_t v) {
@@ -277,8 +355,8 @@ digest(const std::vector<std::pair<std::uint32_t, Tick>> &calls)
             h *= 0x100000001b3ull;
         }
     };
-    for (const auto &[idx, tick] : calls) {
-        mix(idx);
+    for (const auto &[first, tick] : calls) {
+        mix(first);
         mix(tick);
     }
     return h;
@@ -291,10 +369,11 @@ TEST(RefrintEngine, EqualDeadlineServiceOrderIsPinned)
     // Hundreds of sentry groups armed at one deadline: the order they
     // are serviced in is the group heap's tie order, which a sift that
     // broke ties differently would change (and with it the order of
-    // every refresh call and write-back the hierarchy sees).  Accesses
+    // every write-back and invalidation the hierarchy sees).  Accesses
     // push some deadlines out, so lazy re-keys mix with services.  The
-    // digests are those of a plain branchy first-minimum scan; they
-    // must not move.
+    // write-back and invalidation digests are those of a plain branchy
+    // first-minimum scan; they must not move.  The refresh digest
+    // covers the (count, tick) charges.
     struct Case
     {
         DataPolicy data;
@@ -304,9 +383,9 @@ TEST(RefrintEngine, EqualDeadlineServiceOrderIsPinned)
     };
     const std::uint64_t none = digest({});
     const Case cases[] = {
-        {DataPolicy::Valid, 0, 0, 1, 2041, 0, 0, 14681684476706295425ull,
+        {DataPolicy::Valid, 0, 0, 1, 2041, 0, 0, 5737261748393268080ull,
          none, none},
-        {DataPolicy::WB, 1, 1, 4, 730, 171, 497, 83179583026368391ull,
+        {DataPolicy::WB, 1, 1, 4, 730, 171, 497, 4062948133731154163ull,
          11957322595139294162ull, 11188747310044417249ull},
     };
     for (const Case &c : cases) {
@@ -329,7 +408,7 @@ TEST(RefrintEngine, EqualDeadlineServiceOrderIsPinned)
                 f.engine->onAccess(idx, t);
             });
         f.eq.run(45000);
-        EXPECT_EQ(f.target.refreshed.size(), c.refreshes);
+        EXPECT_EQ(f.counter("line_refreshes"), c.refreshes);
         EXPECT_EQ(f.target.wrote.size(), c.writebacks);
         EXPECT_EQ(f.target.invalidated.size(), c.invalidations);
         EXPECT_EQ(digest(f.target.refreshed), c.refreshDigest);
@@ -405,13 +484,21 @@ TEST(RefrintEngine, RescalesCostAtMostOneIdleWakeEach)
 
 TEST(PeriodicEngine, VisitsEveryLineOncePerPeriod)
 {
+    // Four bursts of four lines at 1, 251, 501 and 751: each refreshes
+    // its lines in one charge and renews them for a full retention.
     EngineFixture f(TimePolicy::Periodic, DataPolicy::All, 0, 0, 16,
                     1000);
     f.engine->start(0);
     f.eq.run(1000);
-    EXPECT_EQ(f.target.refreshed.size(), 16u);
+    EXPECT_EQ(f.counter("line_refreshes"), 16u);
+    EXPECT_EQ(f.target.refreshed,
+              (Calls{{4, 1}, {4, 251}, {4, 501}, {4, 751}}));
+    for (std::uint32_t idx = 0; idx < 16; ++idx)
+        EXPECT_EQ(f.expiry(idx), 1 + 250 * (idx / 4) + 1000u) << idx;
     f.eq.run(2000);
-    EXPECT_EQ(f.target.refreshed.size(), 32u);
+    EXPECT_EQ(f.counter("line_refreshes"), 32u);
+    for (std::uint32_t idx = 0; idx < 16; ++idx)
+        EXPECT_EQ(f.expiry(idx), 1 + 250 * (idx / 4) + 2000u) << idx;
 }
 
 TEST(PeriodicEngine, BurstsAreStaggeredAcrossThePeriod)
@@ -420,10 +507,11 @@ TEST(PeriodicEngine, BurstsAreStaggeredAcrossThePeriod)
                     1000);
     f.engine->start(0);
     f.eq.run(499);
-    const std::size_t firstHalf = f.target.refreshed.size();
+    const std::uint64_t firstHalf = f.counter("line_refreshes");
     EXPECT_GT(firstHalf, 0u);
     EXPECT_LT(firstHalf, 16u)
         << "the full cache must not refresh in one burst";
+    EXPECT_EQ(f.target.refreshed, (Calls{{4, 1}, {4, 251}}));
 }
 
 TEST(PeriodicEngine, EagerlyRefreshesRecentlyAccessedLines)
@@ -437,8 +525,10 @@ TEST(PeriodicEngine, EagerlyRefreshesRecentlyAccessedLines)
     for (Tick t = 100; t <= 2000; t += 100)
         f.shots.at(t, [&](Tick now) { f.engine->onAccess(0, now); });
     f.eq.run(2100);
-    EXPECT_GE(f.target.refreshed.size(), 2u)
+    EXPECT_EQ(f.counter("line_refreshes"), 3u)
         << "periodic refreshes hot lines anyway";
+    EXPECT_EQ(f.target.refreshed, (Calls{{1, 1}, {1, 1001}, {1, 2001}}));
+    EXPECT_EQ(f.expiry(0), 2001u + 1000) << "one tick after an access";
 }
 
 TEST(PeriodicEngine, ValidSkipsInvalidLines)
@@ -448,8 +538,10 @@ TEST(PeriodicEngine, ValidSkipsInvalidLines)
     f.engine->start(0);
     f.install(7, 0);
     f.eq.run(1000);
-    EXPECT_EQ(f.target.refreshed.size(), 1u);
-    EXPECT_EQ(f.target.refreshed[0].first, 7u);
+    EXPECT_EQ(f.counter("line_refreshes"), 1u);
+    EXPECT_EQ(f.counter("refresh_skips"), 15u);
+    EXPECT_EQ(f.target.refreshed, (Calls{{1, 251}})); // burst 1: 4..7
+    EXPECT_EQ(f.expiry(7), 251u + 1000);
 }
 
 TEST(PeriodicEngine, WbCountsDownAcrossPeriods)
@@ -461,9 +553,10 @@ TEST(PeriodicEngine, WbCountsDownAcrossPeriods)
     f.eq.run(3 * 1000 + 10);
     // Period 1: count 1 -> refresh; period 2: count 0 dirty -> WB;
     // period 3: clean, m=0 -> invalidate.
-    EXPECT_EQ(f.target.refreshed.size(), 1u);
-    EXPECT_EQ(f.target.wrote.size(), 1u);
-    EXPECT_EQ(f.target.invalidated.size(), 1u);
+    EXPECT_EQ(f.counter("line_refreshes"), 1u);
+    EXPECT_EQ(f.target.refreshed, (Calls{{1, 1}}));
+    EXPECT_EQ(f.target.wrote, (Calls{{2, 1001}}));
+    EXPECT_EQ(f.target.invalidated, (Calls{{2, 2001}}));
 }
 
 TEST(PeriodicEngine, BlocksTheBankWhileRefreshing)
@@ -479,10 +572,10 @@ TEST(PeriodicEngine, BlocksTheBankWhileRefreshing)
 TEST(PeriodicEngine, RescaleMidPeriodKeepsOneVisitPerLinePerPeriod)
 {
     // Four bursts of four lines, 250 ticks apart in a 1000-tick period.
-    // Halving the retention at tick 1100 moves each burst's next wake
-    // halfway towards 1100 (1175, 1300, 1425, 1550) and repeats it
-    // every 500 ticks.  The wakes of the old schedule (1251, 1501,
-    // 1751, 2001) still fire, and must do nothing.
+    // Halving the retention at tick 1100 moves the next wakes of bursts
+    // 1, 2, 3 and 0 halfway towards 1100 (1175, 1300, 1425, 1550) and
+    // repeats each every 500 ticks.  The wakes of the old schedule
+    // (1251, 1501, 1751, 2001) still fire, and must do nothing.
     EngineFixture f(TimePolicy::Periodic, DataPolicy::All, 0, 0, 16,
                     1000);
     constexpr Tick t0 = 1100;
@@ -502,18 +595,19 @@ TEST(PeriodicEngine, RescaleMidPeriodKeepsOneVisitPerLinePerPeriod)
     EXPECT_EQ(f.eq.size(), 4u)
         << "one pending wake per burst once the old ones have passed";
 
-    std::vector<std::vector<Tick>> visits(16);
-    for (std::size_t i = before; i < f.target.refreshed.size(); ++i)
-        visits[f.target.refreshed[i].first].push_back(
-            f.target.refreshed[i].second);
-    for (std::uint32_t idx = 0; idx < 16; ++idx) {
-        SCOPED_TRACE(idx);
-        ASSERT_EQ(visits[idx].size(), 3u);
-        EXPECT_GT(visits[idx][0], t0);
-        EXPECT_LE(visits[idx][0], t0 + 500);
-        EXPECT_EQ(visits[idx][1] - visits[idx][0], 500u);
-        EXPECT_EQ(visits[idx][2] - visits[idx][1], 500u);
-    }
+    // Every 125 ticks from 1175 one burst refreshes its four lines.
+    const Calls after(f.target.refreshed.begin() + before,
+                      f.target.refreshed.end());
+    ASSERT_EQ(after.size(), 12u);
+    for (std::size_t i = 0; i < after.size(); ++i)
+        EXPECT_EQ(after[i], (std::pair<std::uint32_t, Tick>{
+                                4, 1175 + 125 * i}))
+            << i;
+    // Each line's last visit renewed it for the new 500-tick retention.
+    const Tick firstWake[4] = {1550, 1175, 1300, 1425}; // bursts 0..3
+    for (std::uint32_t idx = 0; idx < 16; ++idx)
+        EXPECT_EQ(f.expiry(idx), firstWake[idx / 4] + 2 * 500 + 500)
+            << idx;
 }
 
 namespace
@@ -529,14 +623,13 @@ struct RefCounts
 /**
  * One periodic burst over [lo, hi) done the plain way, independently
  * of the engine: visit each line in order, take Fig. 4.1's decision,
- * act on it through @p t one call per line, and renew the clock of
- * every line that stays alive.  A bulk-charging target sees the
- * burst's refreshes as one (count, tick) call instead.
+ * write back and invalidate through @p t one call per line, renew the
+ * clock of every line that stays alive, and charge the burst's
+ * refreshes as one (count, tick) call.
  */
 void
 referenceBurst(MockTarget &t, const RefreshPolicy &pol, std::uint32_t lo,
-               std::uint32_t hi, Tick now, Tick retention, bool bulk,
-               RefCounts &c)
+               std::uint32_t hi, Tick now, Tick retention, RefCounts &c)
 {
     std::uint32_t refreshed = 0, serviced = 0;
     for (std::uint32_t idx = lo; idx < hi; ++idx) {
@@ -547,8 +640,6 @@ referenceBurst(MockTarget &t, const RefreshPolicy &pol, std::uint32_t lo,
             ++c.refreshes;
             ++refreshed;
             ++serviced;
-            if (!bulk)
-                t.refreshLine(idx, now);
             line.dataExpiry = now + retention;
             break;
           case RefreshAction::Writeback:
@@ -566,8 +657,8 @@ referenceBurst(MockTarget &t, const RefreshPolicy &pol, std::uint32_t lo,
             break;
         }
     }
-    if (bulk && refreshed > 0)
-        t.refreshLinesBulk(refreshed, now);
+    if (refreshed > 0)
+        t.refreshLines(refreshed, now);
     if (serviced > 0)
         t.addBusy(now, serviced);
 }
@@ -590,8 +681,8 @@ referenceInstall(MockTarget &t, const RefreshPolicy &pol,
 
 TEST(PeriodicEngine, BatchedBurstsMatchPerLineReference)
 {
-    // The engine's burst loops (the bulk All/Valid paths and the
-    // batched general path) against referenceBurst over random array
+    // The engine's burst loops (All, Valid, and the general loop that
+    // serves Dirty and WB) against referenceBurst over random array
     // states that change between periods: every call sequence, every
     // line's state and clock, and every counter must agree.
     constexpr std::uint32_t kLines = 256;
@@ -605,90 +696,85 @@ TEST(PeriodicEngine, BatchedBurstsMatchPerLineReference)
         RefreshPolicy::periodic(DataPolicy::WB, 1, 0),
     };
     for (const RefreshPolicy &pol : policies) {
-        for (const bool bulk : {false, true}) {
-            SCOPED_TRACE(pol.name() + (bulk ? " bulk" : " per-line"));
-            EngineFixture f(TimePolicy::Periodic, pol.data, pol.n, pol.m,
-                            kLines, kT, 1, kBurst);
-            f.target.bulk = bulk;
-            MockTarget ref(kLines);
-            RefCounts rc;
-            Prng prng(7, pol.n * 4 + pol.m + (bulk ? 100 : 0));
+        SCOPED_TRACE(pol.name());
+        EngineFixture f(TimePolicy::Periodic, pol.data, pol.n, pol.m,
+                        kLines, kT, 1, kBurst);
+        MockTarget ref(kLines);
+        RefCounts rc;
+        Prng prng(7, pol.n * 4 + pol.m);
 
-            auto mutate = [&](Tick now, std::uint32_t count) {
-                for (std::uint32_t i = 0; i < count; ++i) {
-                    const std::uint32_t idx = prng.below(kLines);
-                    CacheLine &e = f.target.arr.lineAt(idx);
-                    CacheLine &r = ref.arr.lineAt(idx);
-                    switch (prng.below(4)) {
-                      case 0: { // fill, clean or dirty
-                        const bool dirty = prng.below(2) == 0;
-                        f.install(idx, now, dirty);
-                        referenceInstall(ref, pol, idx, now, kT, dirty);
-                        break;
-                      }
-                      case 1: // a write dirties a valid line
-                        if (e.valid()) {
-                            e.dirty = r.dirty = true;
-                            f.engine->onAccess(idx, now);
-                            r.dataExpiry = now + kT;
-                            noteAccess(pol, r);
-                        }
-                        break;
-                      case 2: // an eviction
-                        if (e.valid()) {
-                            f.target.arr.invalidate(e);
-                            ref.arr.invalidate(r);
-                        }
-                        break;
-                      default: // a WB countdown part-way through
-                        if (e.valid())
-                            e.count = r.count = prng.below(3);
-                        break;
+        auto mutate = [&](Tick now, std::uint32_t count) {
+            for (std::uint32_t i = 0; i < count; ++i) {
+                const std::uint32_t idx = prng.below(kLines);
+                CacheLine &e = f.target.arr.lineAt(idx);
+                CacheLine &r = ref.arr.lineAt(idx);
+                switch (prng.below(4)) {
+                  case 0: { // fill, clean or dirty
+                    const bool dirty = prng.below(2) == 0;
+                    f.install(idx, now, dirty);
+                    referenceInstall(ref, pol, idx, now, kT, dirty);
+                    break;
+                  }
+                  case 1: // a write dirties a valid line
+                    if (e.valid()) {
+                        e.dirty = r.dirty = true;
+                        f.engine->onAccess(idx, now);
+                        r.dataExpiry = now + kT;
+                        noteAccess(pol, r);
                     }
+                    break;
+                  case 2: // an eviction
+                    if (e.valid()) {
+                        f.target.arr.invalidate(e);
+                        ref.arr.invalidate(r);
+                    }
+                    break;
+                  default: // a WB countdown part-way through
+                    if (e.valid())
+                        e.count = r.count = prng.below(3);
+                    break;
                 }
-            };
+            }
+        };
 
-            mutate(0, 200);
-            f.engine->start(0);
-            for (Tick period = 0; period < 6; ++period) {
-                for (std::uint32_t k = 0; k < kLines / kBurst; ++k)
-                    referenceBurst(ref, pol, k * kBurst, (k + 1) * kBurst,
-                                   period * kT + kT * k / 8 + 1, kT, bulk,
-                                   rc);
-                f.eq.run(period * kT + kT);
+        mutate(0, 200);
+        f.engine->start(0);
+        for (Tick period = 0; period < 6; ++period) {
+            for (std::uint32_t k = 0; k < kLines / kBurst; ++k)
+                referenceBurst(ref, pol, k * kBurst, (k + 1) * kBurst,
+                               period * kT + kT * k / 8 + 1, kT, rc);
+            f.eq.run(period * kT + kT);
 
-                EXPECT_EQ(f.target.refreshed, ref.refreshed);
-                EXPECT_EQ(f.target.bulkRefreshed, ref.bulkRefreshed);
-                EXPECT_EQ(f.target.wrote, ref.wrote);
-                EXPECT_EQ(f.target.invalidated, ref.invalidated);
-                EXPECT_EQ(f.target.busyCycles, ref.busyCycles);
-                for (std::uint32_t idx = 0; idx < kLines; ++idx) {
-                    const CacheLine &e = f.target.arr.lineAt(idx);
-                    const CacheLine &r = ref.arr.lineAt(idx);
-                    ASSERT_EQ(e.dataExpiry, r.dataExpiry) << idx;
-                    ASSERT_EQ(e.state, r.state) << idx;
-                    ASSERT_EQ(e.dirty, r.dirty) << idx;
-                    ASSERT_EQ(e.count, r.count) << idx;
-                }
-                EXPECT_EQ(f.counter("line_refreshes"), rc.refreshes);
-                EXPECT_EQ(f.counter("refresh_writebacks"), rc.writebacks);
-                EXPECT_EQ(f.counter("refresh_invalidations"),
-                          rc.invalidations);
-                EXPECT_EQ(f.counter("refresh_skips"), rc.skips);
-                EXPECT_EQ(f.counter("refresh_visits"), rc.visits);
-                mutate(period * kT + kT, 60);
+            EXPECT_EQ(f.target.refreshed, ref.refreshed);
+            EXPECT_EQ(f.target.wrote, ref.wrote);
+            EXPECT_EQ(f.target.invalidated, ref.invalidated);
+            EXPECT_EQ(f.target.busyCycles, ref.busyCycles);
+            for (std::uint32_t idx = 0; idx < kLines; ++idx) {
+                const CacheLine &e = f.target.arr.lineAt(idx);
+                const CacheLine &r = ref.arr.lineAt(idx);
+                ASSERT_EQ(e.dataExpiry, r.dataExpiry) << idx;
+                ASSERT_EQ(e.state, r.state) << idx;
+                ASSERT_EQ(e.dirty, r.dirty) << idx;
+                ASSERT_EQ(e.count, r.count) << idx;
             }
-            // The run did exercise the actions its policy can take.
-            EXPECT_GT(rc.refreshes, 0u);
-            if (pol.data != DataPolicy::All) {
-                EXPECT_GT(rc.skips, 0u);
-            }
-            if (pol.data == DataPolicy::Dirty || pol.data == DataPolicy::WB) {
-                EXPECT_GT(rc.invalidations, 0u);
-            }
-            if (pol.data == DataPolicy::WB) {
-                EXPECT_GT(rc.writebacks, 0u);
-            }
+            EXPECT_EQ(f.counter("line_refreshes"), rc.refreshes);
+            EXPECT_EQ(f.counter("refresh_writebacks"), rc.writebacks);
+            EXPECT_EQ(f.counter("refresh_invalidations"),
+                      rc.invalidations);
+            EXPECT_EQ(f.counter("refresh_skips"), rc.skips);
+            EXPECT_EQ(f.counter("refresh_visits"), rc.visits);
+            mutate(period * kT + kT, 60);
+        }
+        // The run did exercise the actions its policy can take.
+        EXPECT_GT(rc.refreshes, 0u);
+        if (pol.data != DataPolicy::All) {
+            EXPECT_GT(rc.skips, 0u);
+        }
+        if (pol.data == DataPolicy::Dirty || pol.data == DataPolicy::WB) {
+            EXPECT_GT(rc.invalidations, 0u);
+        }
+        if (pol.data == DataPolicy::WB) {
+            EXPECT_GT(rc.writebacks, 0u);
         }
     }
 }

@@ -121,10 +121,10 @@ TEST(SweepParallelTest, WarmCacheRunsZeroSimulations)
     std::filesystem::remove_all(dir);
 
     const SweepResult fresh = runSpec(smallSpec(u, s), dir, 4);
-    EXPECT_EQ(fresh.simulations, fresh.raw.size());
+    EXPECT_EQ(fresh.metrics.simulated, fresh.raw.size());
 
     const SweepResult warm = runSpec(smallSpec(u, s), dir, 4);
-    EXPECT_EQ(warm.simulations, 0u);
+    EXPECT_EQ(warm.metrics.simulated, 0u);
     ASSERT_EQ(warm.raw.size(), fresh.raw.size());
     std::filesystem::remove_all(dir);
 }

@@ -145,16 +145,14 @@ TEST(ThermalRun, DisabledRunRecordsNoThermalState)
 
 /** Retention safety: across every rescale the engines may never let a
  *  line decay (the decayed counter is the canary, and the hierarchy
- *  invariant checker verifies expiries directly). */
+ *  invariant checker verifies expiries directly).  Every P/R policy of
+ *  the paper sweep, on a cool die and on a hot one, where the retention
+ *  floor engages. */
 TEST(ThermalRun, NoLineDecaysAcrossRetentionRescales)
 {
     UniformWorkload app(16 * 1024, 0.4);
-    for (const RefreshPolicy &pol :
-         {RefreshPolicy::periodic(DataPolicy::All),
-          RefreshPolicy::refrint(DataPolicy::All),
-          RefreshPolicy::refrint(DataPolicy::Valid),
-          RefreshPolicy::refrint(DataPolicy::WB, 4, 4)}) {
-        for (double ambient : {45.0, 85.0}) {
+    for (const RefreshPolicy &pol : paperPolicySweep()) {
+        for (double ambient : {45.0, 105.0}) {
             SCOPED_TRACE(pol.name() + " @ " + std::to_string(ambient));
             SimParams sim;
             sim.refsPerCore = 15'000;
@@ -294,9 +292,9 @@ TEST(ThermalSweep, CacheRoundTripsThermalFieldsExactly)
     std::filesystem::remove_all(dir);
 
     const SweepResult fresh = runSpec(thermalSpec(u, s), dir);
-    EXPECT_EQ(fresh.simulations, fresh.raw.size());
+    EXPECT_EQ(fresh.metrics.simulated, fresh.raw.size());
     const SweepResult warm = runSpec(thermalSpec(u, s), dir);
-    EXPECT_EQ(warm.simulations, 0u);
+    EXPECT_EQ(warm.metrics.simulated, 0u);
 
     ASSERT_EQ(fresh.raw.size(), warm.raw.size());
     for (std::size_t i = 0; i < fresh.raw.size(); ++i) {
@@ -322,20 +320,20 @@ TEST(ThermalSweep, KeysDoNotCollideWithIsothermalRows)
     SweepSpec iso = thermalSpec(u, s);
     iso.ambients.clear(); // same points, thermal disabled
     const SweepResult isoFresh = runSpec(iso, dir);
-    EXPECT_EQ(isoFresh.simulations, isoFresh.raw.size());
+    EXPECT_EQ(isoFresh.metrics.simulated, isoFresh.raw.size());
 
     // The thermal sweep shares only the 2 SRAM baselines (which are
     // never thermal); its 8 eDRAM points must all simulate fresh.
     SweepSpec thermal = thermalSpec(u, s);
     const SweepResult thFresh = runSpec(thermal, dir);
-    EXPECT_EQ(thFresh.simulations, 8u);
+    EXPECT_EQ(thFresh.metrics.simulated, 8u);
 
     // Both repeats fully warm, and the isothermal rows were untouched
     // by the thermal sweep (distinct keys, same store).
     const SweepResult isoWarm = runSpec(iso, dir);
-    EXPECT_EQ(isoWarm.simulations, 0u);
+    EXPECT_EQ(isoWarm.metrics.simulated, 0u);
     const SweepResult thWarm = runSpec(thermal, dir);
-    EXPECT_EQ(thWarm.simulations, 0u);
+    EXPECT_EQ(thWarm.metrics.simulated, 0u);
     for (std::size_t i = 0; i < isoFresh.raw.size(); ++i) {
         EXPECT_EQ(isoFresh.raw[i].execTicks, isoWarm.raw[i].execTicks);
         EXPECT_EQ(isoFresh.raw[i].maxTempC, isoWarm.raw[i].maxTempC);

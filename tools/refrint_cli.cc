@@ -540,8 +540,13 @@ machineFor(const Args &a)
                 usageError("%s has no effect with --sram (SRAM cells "
                            "are never refreshed); drop one of them",
                            f);
-    if (a.ambientC > 0.0)
+    if (a.ambientC > 0.0) {
         checkAmbient("--ambient", a.ambientC);
+        if (parsePolicy(a.policy).time == TimePolicy::SmartRefresh)
+            usageError("--ambient needs a P.* or R.* --policy: the "
+                       "SmartRefresh comparator does not model "
+                       "temperature-scaled retention");
+    }
     if (a.decayUs > 0.0)
         return MachineConfig::paperSramDecay(usToTicks(a.decayUs),
                                              a.cores);
