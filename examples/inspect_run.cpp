@@ -13,6 +13,7 @@
 #include <map>
 #include <string>
 
+#include "api/scenario.hh"
 #include "harness/runner.hh"
 #include "system/cmp_system.hh"
 #include "workload/workload.hh"
@@ -34,11 +35,15 @@ main(int argc, char **argv)
         std::fprintf(stderr, "unknown app '%s'\n", appName);
         return 1;
     }
-    MachineConfig cfg =
-        polName == "SRAM"
-            ? MachineConfig::paperSram()
-            : MachineConfig::paperEdram(parsePolicy(polName),
-                                          usToTicks(retUs));
+    Scenario sc;
+    sc.config = polName;
+    sc.retentionUs = sc.isSram() ? 0.0 : retUs;
+    std::string err;
+    if (!sc.check(err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return 1;
+    }
+    const MachineConfig cfg = sc.machine(EnergyParams::calibrated());
 
     SimParams sim;
     sim.refsPerCore = refs;

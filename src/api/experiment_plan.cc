@@ -76,17 +76,18 @@ requireString(const JsonValue &obj, const char *key, const char *where)
     return v->asString();
 }
 
-/** A non-negative integer-valued number, range-checked before the
- *  cast so a malformed plan can never reach undefined behavior. */
+/** A non-negative integer-valued number in [minimum, maximum],
+ *  range-checked before the cast so a malformed plan can never reach
+ *  undefined behavior. */
 std::uint64_t
 requireU64(const JsonValue &obj, const char *key, const char *where,
-           double minimum = 0)
+           double minimum = 0, double maximum = 9.0e15)
 {
     const double v = requireNumber(obj, key, where);
-    if (v < minimum || v > 9.0e15 ||
+    if (!(v >= minimum && v <= maximum) ||
         v != static_cast<double>(static_cast<std::uint64_t>(v)))
-        planError("plan %s: \"%s\" must be an integer in [%g, 9e15]",
-                  where, key, minimum);
+        planError("plan %s: \"%s\" must be an integer in [%g, %g]",
+                  where, key, minimum, maximum);
     return static_cast<std::uint64_t>(v);
 }
 
@@ -220,40 +221,8 @@ ExperimentPlan::tryFromJson(const std::string &text, ExperimentPlan &out,
             s.config = requireString(o, "config", "scenario");
             s.retentionUs = requireNumber(o, "retentionUs", "scenario");
             s.ambientC = requireNumber(o, "ambientC", "scenario");
-            // Outside the thermal response's resolvable band the
-            // retention scale factor sits on a clamp, so two different
-            // ambients silently produce identical runs.  Reject up
-            // front (0 = thermal subsystem off is always valid).
-            if (s.ambientC != 0) {
-                const ThermalResponse resp{};
-                if (s.ambientC < resp.minAmbientC() ||
-                    s.ambientC > resp.maxAmbientC())
-                    planError(
-                        "scenario \"ambientC\" %g is outside the "
-                        "thermal response's resolvable range [%g, %g] "
-                        "deg C (0 disables the thermal subsystem)",
-                        s.ambientC, resp.minAmbientC(),
-                        resp.maxAmbientC());
-                // MachineConfig::validate would only panic on this in
-                // a worker; refuse it here, before any simulation.
-                if (s.config.compare(0, 2, "S.") == 0)
-                    planError("plan scenario '%s' (%s at %g deg C): the "
-                              "SmartRefresh comparator does not model "
-                              "temperature-scaled retention; a thermal "
-                              "scenario needs a P.* or R.* policy",
-                              s.app.c_str(), s.config.c_str(),
-                              s.ambientC);
-            }
-            const double cores = requireNumber(o, "cores", "scenario");
-            // The paper machine's own range: reject here so a bad plan
-            // fails with a clean fatal before any simulation starts,
-            // rather than panicking inside a worker.
-            if (cores < 4 || cores > 64 ||
-                cores != static_cast<double>(
-                             static_cast<std::uint32_t>(cores)))
-                planError("scenario \"cores\" must be an integer in "
-                          "[4, 64]");
-            s.cores = static_cast<std::uint32_t>(cores);
+            s.cores = static_cast<std::uint32_t>(
+                requireU64(o, "cores", "scenario", 0, 4294967295.0));
             s.hybrid = optionalBool(o, "hybrid", false);
             s.sim.refsPerCore = requireU64(o, "refs", "scenario");
             s.sim.seed = requireU64(o, "seed", "scenario");
@@ -263,6 +232,13 @@ ExperimentPlan::tryFromJson(const std::string &text, ExperimentPlan &out,
             if (o.get("maxTicks") != nullptr)
                 s.sim.maxTicks = static_cast<Tick>(requireU64(
                     o, "maxTicks", "scenario", /*minimum=*/1));
+            // Refuse a scenario that cannot run here, before any
+            // simulation starts, rather than in a worker.
+            std::string why;
+            if (!s.check(why))
+                planError("plan scenario %zu (%s): %s",
+                          plan.scenarios.size(), s.logLabel().c_str(),
+                          why.c_str());
             const double b = requireNumber(o, "baseline", "scenario");
             // -1 or the index of an earlier scenario; range-checked in
             // double before the cast (validate() then checks it points

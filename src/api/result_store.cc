@@ -44,9 +44,6 @@ constexpr std::size_t kNumAltCacheFields = 10;
 constexpr std::size_t kNumBaseCacheFields =
     kNumCacheFields - kNumAltCacheFields;
 
-/** Field count of a pre-v7 (v5/v6) row: everything up to maxTempC. */
-constexpr std::size_t kNumLegacyCacheFields = kNumBaseCacheFields - 4;
-
 } // namespace
 
 std::string
@@ -77,8 +74,7 @@ decodeCacheRow(const std::string &payload, CacheRow &c)
             return false;
         c.*kCacheFields[i++] = v;
     }
-    return i == kNumCacheFields || i == kNumBaseCacheFields ||
-           i == kNumLegacyCacheFields;
+    return i == kNumCacheFields || i == kNumBaseCacheFields;
 }
 
 CacheRow

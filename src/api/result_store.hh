@@ -13,8 +13,7 @@
  * simply simulates every scenario.
  *
  * The row payload (CacheRow) and its exact %.17g text codec live here
- * so the store, the `cache migrate` import of legacy CSV caches, and
- * the goldens serialize rows byte-identically.
+ * so the store and the goldens serialize rows byte-identically.
  */
 
 #ifndef REFRINT_API_RESULT_STORE_HH
@@ -62,11 +61,10 @@ std::string encodeCacheRow(const CacheRow &c);
 
 /**
  * Parse a "f0,f1,..." payload into @p c.  Accepts a full current-
- * version row (with the alternate-backend tail), a base-length row
- * (v7, or any v8 row written without a second-opinion estimate), or a
- * legacy-length (pre-v7) prefix; fields past the end of a shorter row
- * then read as zero, which is their true value for such rows.  @p c
- * must be zero-initialized by the caller.
+ * version row (with the alternate-backend tail) or a base-length row
+ * (v7, or any v8 row written without a second-opinion estimate); the
+ * tail of a base-length row then reads as zero, which is its true
+ * value.  @p c must be zero-initialized by the caller.
  */
 bool decodeCacheRow(const std::string &payload, CacheRow &c);
 

@@ -1,10 +1,11 @@
 #include "api/scenario.hh"
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/log.hh"
 #include "workload/method.hh"
 
@@ -56,24 +57,16 @@ ScenarioKey::parse(const std::string &key, ScenarioKey &out)
     if (seg.size() < 5)
         return false;
 
-    auto number = [](const std::string &s, double &v) {
-        char *end = nullptr;
-        v = std::strtod(s.c_str(), &end);
-        return !s.empty() && end == s.c_str() + s.size();
-    };
-
     ScenarioKey k;
     k.app = seg[0];
     k.config = seg[1];
-    double refs = 0, seed = 0;
     if (k.app.empty() || k.config.empty() ||
-        !number(seg[2], k.retentionUs) || !number(seg[3], refs) ||
-        !number(seg[4], seed) || refs < 0 || seed < 0)
+        !parseF64Strict(seg[2].c_str(), k.retentionUs) ||
+        !parseU64Strict(seg[3].c_str(), k.refs) ||
+        !parseU64Strict(seg[4].c_str(), k.seed))
         return false;
-    k.refs = static_cast<std::uint64_t>(refs);
-    k.seed = static_cast<std::uint64_t>(seed);
 
-    // Optional tagged segments, in the fixed order str() emits them.
+    // Optional tagged segments, in the order str() emits them.
     std::size_t i = 5;
     auto tagged = [&](const char *tag, std::string &v) {
         const std::size_t len = std::strlen(tag);
@@ -86,12 +79,14 @@ ScenarioKey::parse(const std::string &key, ScenarioKey &out)
     };
     std::string amb;
     tagged("wl=", k.workload);
-    if (tagged("amb=", amb) &&
-        (!number(amb, k.ambientC) || k.ambientC == 0.0))
+    if (tagged("amb=", amb) && !parseF64Strict(amb.c_str(), k.ambientC))
         return false;
     tagged("mach=", k.machine);
     tagged("en=", k.energy);
-    if (i != seg.size())
+    // Whatever str() would not print back is not a key: a spelling
+    // such as "5e1" or "+1", a zero ambient, or a segment out of order
+    // or left over.
+    if (k.str() != key)
         return false;
     out = k;
     return true;
@@ -146,22 +141,61 @@ Scenario::key() const
     return k;
 }
 
-MachineConfig
-Scenario::machine(const EnergyParams &energy) const
+namespace
 {
-    if (isSram())
-        return MachineConfig::paperSram(cores);
-    const RefreshPolicy policy = parsePolicy(config);
-    const Tick retention = usToTicks(retentionUs);
+
+/** @p sc's machine, its config read as @p policy unless SRAM. */
+MachineConfig
+buildMachine(const Scenario &sc, const RefreshPolicy &policy,
+             const EnergyParams &energy)
+{
+    if (sc.isSram())
+        return MachineConfig::paperSram(sc.cores);
+    const Tick retention = usToTicks(sc.retentionUs);
     MachineConfig cfg =
-        hybrid ? MachineConfig::paperHybrid(policy, retention, cores)
-               : MachineConfig::paperEdram(policy, retention, cores);
-    if (ambientC != 0.0) {
+        sc.hybrid ? MachineConfig::paperHybrid(policy, retention, sc.cores)
+                  : MachineConfig::paperEdram(policy, retention, sc.cores);
+    if (sc.ambientC != 0.0) {
         cfg.thermal.enabled = true;
-        cfg.thermal.ambientC = ambientC;
+        cfg.thermal.ambientC = sc.ambientC;
     }
     cfg.thermal.energy = energy;
     return cfg;
+}
+
+} // namespace
+
+bool
+Scenario::check(std::string &err) const
+{
+    RefreshPolicy policy;
+    if (!isSram() && !parsePolicy(config, policy))
+        err = "unknown config '" + config +
+              "' (SRAM, or a policy such as P.all or R.WB(32,32); see "
+              "'refrint_cli list')";
+    else if (isSram() && (retentionUs != 0 || ambientC != 0 ||
+                          std::signbit(retentionUs))) // -0.0 keys apart
+        err = "an SRAM scenario takes no retention and no ambient (its "
+              "cells are never refreshed)";
+    else if (!isSram() && !(retentionUs > 0 && retentionUs * 1e3 < 0x1p64))
+        err = "an eDRAM scenario needs a positive retention (us) that "
+              "fits the tick counter";
+    else if (cores < 4 || cores > 64)
+        err = "cores must be an integer in [4, 64]";
+    else
+        return buildMachine(*this, policy, EnergyParams::calibrated())
+            .check(err);
+    return false;
+}
+
+MachineConfig
+Scenario::machine(const EnergyParams &energy) const
+{
+    RefreshPolicy policy;
+    if (!isSram() && !parsePolicy(config, policy))
+        panic("scenario config '%s' is no policy (check() first)",
+              config.c_str());
+    return buildMachine(*this, policy, energy);
 }
 
 const Workload &

@@ -67,13 +67,10 @@ struct ScenarioKey
     std::string str() const;
 
     /**
-     * Inverse of str(): rebuild the structured key from a cache-key
-     * string (the validate subcommand walks a corpus it did not
-     * produce).  Returns false on anything str() could not have
-     * emitted — wrong segment count, malformed numbers, an unknown
-     * tagged segment, or tagged segments out of canonical order.
-     * parse(k.str(), k2) implies k == k2 up to the %.1f/%.2f rounding
-     * str() applies to retention and ambient.
+     * Exact inverse of str(): rebuild the structured key from a
+     * cache-key string (the validate subcommand walks a corpus it did
+     * not produce).  Returns false for any string str() would not
+     * print back byte for byte.
      */
     static bool parse(const std::string &key, ScenarioKey &out);
 
@@ -112,8 +109,19 @@ struct Scenario
     /** The canonical cache/identity key. */
     ScenarioKey key() const;
 
-    /** Build the machine this scenario runs on.  @p energy feeds the
-     *  thermal subsystem's leakage estimate (eDRAM machines only). */
+    /**
+     * Whether this scenario can run: the config is SRAM or a policy
+     * name parsePolicy() reads; an SRAM scenario has no retention and
+     * no ambient; an eDRAM retention is positive and fits a Tick;
+     * cores lie in [4, 64]; and machine() passes MachineConfig::check.
+     * False with the reason in @p err otherwise.  The workload is
+     * resolveWorkload()'s to check.
+     */
+    bool check(std::string &err) const;
+
+    /** Build the machine this scenario runs on (check() first).
+     *  @p energy feeds the thermal subsystem's leakage estimate (eDRAM
+     *  machines only). */
     MachineConfig machine(const EnergyParams &energy) const;
 
     /** Resolve the workload pointer (by name when unset); fatal if the

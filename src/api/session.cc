@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <mutex>
 
@@ -30,36 +29,21 @@ namespace
  *    restored to construction state (only its touched sets) and gave
  *    back, so a run on the same machine allocates and initialises no
  *    array storage.
- *  - machines: memoized MachineConfig per distinct machine identity.
- *    A plan axis typically crosses many workloads with few machines,
- *    so most runs reuse a read-only config instead of rebuilding the
- *    descriptor set.
  *  - workloads: memoized registry resolution per app spec, skipping
  *    the registry's parse + lock on repeat specs.
  *
- * None of this can affect results: configs and workloads are
- * value-identical to what Scenario would rebuild, the arena only moves
- * allocations (common/arena.hh, determinism note), and a recycled
- * array equals a fresh one (mem/array_pool.hh).
+ * None of this can affect results: workloads are value-identical to
+ * what Scenario would resolve, the arena only moves allocations
+ * (common/arena.hh, determinism note), and a recycled array equals a
+ * fresh one (mem/array_pool.hh).  Each scenario builds its own
+ * machine: a build costs less than a memo key and lookup did.
  */
 struct WorkerCtx
 {
     Arena arena;
     ArrayPool arrays;
-    std::map<std::string, MachineConfig> machines;
     std::map<std::string, const Workload *> workloads;
 };
-
-/** Memo key capturing everything Scenario::machine() reads (the
- *  plan-wide energy model is constant across the sweep). */
-std::string
-machineMemoKey(const Scenario &sc)
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "|%.17g|%.17g|%u|%d", sc.retentionUs,
-                  sc.ambientC, sc.cores, sc.hybrid ? 1 : 0);
-    return sc.config + buf;
-}
 
 } // namespace
 
@@ -165,25 +149,18 @@ Session::run(const ExperimentPlan &plan,
             // closure, so a warm reload is byte-identical to the run
             // that produced the row (a killed sweep resumed from its
             // store depends on this).
-            WorkerCtx &ctx = ctxs[worker];
-            auto [mit, minserted] =
-                ctx.machines.try_emplace(machineMemoKey(sc));
-            if (minserted)
-                mit->second = sc.machine(plan.energy);
-            reconstructEnergyMatrix(r.energy, plan.energy, mit->second,
-                                    r.execTicks, row.refreshes3);
+            reconstructEnergyMatrix(r.energy, plan.energy,
+                                    sc.machine(plan.energy), r.execTicks,
+                                    row.refreshes3);
             results[i] = std::move(r);
         } else {
             LogPrefix scope(sc.logLabel());
             inform("simulating ...");
             WorkerCtx &ctx = ctxs[worker];
-            // Batch effect of per-worker claiming: scenarios sharing a
-            // machine or an app spec hit the worker's memos, so only
-            // the first run of each pays construction/resolution.
-            auto [mit, minserted] =
-                ctx.machines.try_emplace(machineMemoKey(sc));
-            if (minserted)
-                mit->second = sc.machine(plan.energy);
+            const MachineConfig cfg = sc.machine(plan.energy);
+            // Batch effect of per-worker claiming: scenarios sharing an
+            // app spec hit the worker's memo, so only the first run of
+            // each pays resolution.
             const Workload *wl = sc.workload;
             if (wl == nullptr) {
                 const Workload *&slot = ctx.workloads[sc.app];
@@ -194,7 +171,7 @@ Session::run(const ExperimentPlan &plan,
             // All prior arena-backed state (the previous scenario's
             // simulator) is dead by now; recycle the chunks.
             ctx.arena.reset();
-            RunResult r = runOnce(mit->second, *wl, sc.sim, plan.energy,
+            RunResult r = runOnce(cfg, *wl, sc.sim, plan.energy,
                                   &ctx.arena, &ctx.arrays);
             // Stamp the plan's labels (0.0 retention for SRAM
             // baselines; the scenario's own app spelling, which for a
@@ -208,7 +185,7 @@ Session::run(const ExperimentPlan &plan,
             // function the warm path applies — so a future cache
             // reload of this row reproduces it byte-for-byte.
             reconstructEnergyMatrix(
-                r.energy, plan.energy, mit->second, r.execTicks,
+                r.energy, plan.energy, cfg, r.execTicks,
                 static_cast<double>(r.counts.l3Refreshes));
             if (store_ != nullptr)
                 store_->insert(key, cacheRowOf(r));

@@ -1,5 +1,6 @@
 #include "config/machine_config.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -138,58 +139,92 @@ MachineConfig::setTech(CellTech t)
         l.tech = t;
 }
 
-void
-MachineConfig::validate() const
+bool
+MachineConfig::check(std::string &err) const
 {
+    char buf[256];
+    auto fail = [&](const char *fmt, auto... args) {
+        std::snprintf(buf, sizeof(buf), fmt, args...);
+        err = buf;
+        return false;
+    };
     if (numCores == 0 || numCores > 64)
-        panic("core count %u outside [1, 64] (the directory sharer "
-              "mask is 64 bits wide)",
-              numCores);
-    panicIf(numBanks == 0, "machine needs at least one LLC bank");
+        return fail("core count %u outside [1, 64] (the directory sharer "
+                    "mask is 64 bits wide)",
+                    numCores);
+    if (numBanks == 0)
+        return fail("machine needs at least one LLC bank");
     if (torusDim * torusDim < numBanks || torusDim * torusDim < numCores)
-        panic("torus %ux%u cannot tile %u cores / %u banks", torusDim,
-              torusDim, numCores, numBanks);
+        return fail("torus %ux%u cannot tile %u cores / %u banks",
+                    torusDim, torusDim, numCores, numBanks);
 
     int seen[4] = {0, 0, 0, 0};
     for (std::size_t i = 0; i < levels.size(); ++i) {
         const CacheLevelSpec &l = levels[i];
         seen[static_cast<int>(l.role)]++;
-        panicIf(l.name == nullptr || l.name[0] == '\0',
-                "every level needs a name (it keys the stat groups)");
+        if (l.name == nullptr || l.name[0] == '\0')
+            return fail("every level needs a name (it keys the stat "
+                        "groups)");
         for (std::size_t j = 0; j < i; ++j) {
             if (std::strcmp(levels[j].name, l.name) == 0)
-                panic("duplicate level name '%s': stat groups would "
-                      "silently merge",
-                      l.name);
+                return fail("duplicate level name '%s': stat groups "
+                            "would silently merge",
+                            l.name);
         }
-        l.geom.check(l.name);
+        if (!l.geom.valid())
+            return fail("bad cache geometry for %s", l.name);
         if (l.role == LevelRole::LLC) {
-            panicIf(l.sharing != Sharing::BankedShared,
-                    "the LLC must be banked-shared");
-            panicIf(i + 1 != levels.size(),
-                    "the LLC must be the last descriptor");
+            if (l.sharing != Sharing::BankedShared)
+                return fail("the LLC must be banked-shared");
+            if (i + 1 != levels.size())
+                return fail("the LLC must be the last descriptor");
         } else if (l.sharing != Sharing::Private) {
-            panic("%s: only the LLC may be shared (the directory lives "
-                  "there)",
-                  l.name);
+            return fail("%s: only the LLC may be shared (the directory "
+                        "lives there)",
+                        l.name);
         }
     }
     for (int r = 0; r < 4; ++r) {
         if (seen[r] != 1)
-            panic("the protocol needs role %s exactly once (found %d)",
-                  levelRoleName(static_cast<LevelRole>(r)), seen[r]);
+            return fail("the protocol needs role %s exactly once (found "
+                        "%d)",
+                        levelRoleName(static_cast<LevelRole>(r)), seen[r]);
     }
-    panicIf(il1().tech != dl1().tech,
-            "IL1 and DL1 must share a cell technology (the energy "
-            "model aggregates them as one L1 class)");
+    if (il1().tech != dl1().tech)
+        return fail("IL1 and DL1 must share a cell technology (the energy "
+                    "model aggregates them as one L1 class)");
+    const ThermalResponse &resp = retention.thermal;
+    if (thermal.enabled && !(thermal.ambientC >= resp.minAmbientC() &&
+                             thermal.ambientC <= resp.maxAmbientC()))
+        return fail("ambient %g deg C is outside the thermal response's "
+                    "resolvable range [%g, %g] deg C",
+                    thermal.ambientC, resp.minAmbientC(),
+                    resp.maxAmbientC());
     for (const CacheLevelSpec &l : levels) {
+        // The sentry bit decays one tick per line of the unit before
+        // the data cells (retention.hh) and needs retention of its own.
+        const Tick margin = retention.marginFor(l.geom.numLines());
+        if (l.refreshed() && margin >= retention.cellRetention)
+            return fail("%s: the %.3f us sentry margin leaves nothing of "
+                        "the %.3f us retention",
+                        l.name, ticksToSeconds(margin) * 1e6,
+                        ticksToSeconds(retention.cellRetention) * 1e6);
         if (thermal.enabled && l.refreshed() &&
             l.policy.time == TimePolicy::SmartRefresh)
-            panic("%s: the SmartRefresh comparator does not model "
-                  "temperature-scaled retention; a thermal machine needs "
-                  "a P.* or R.* policy",
-                  l.name);
+            return fail("%s: the SmartRefresh comparator does not model "
+                        "temperature-scaled retention; a thermal machine "
+                        "needs a P.* or R.* policy",
+                        l.name);
     }
+    return true;
+}
+
+void
+MachineConfig::validate() const
+{
+    std::string err;
+    if (!check(err))
+        panic("%s", err.c_str());
 }
 
 MachineConfig
@@ -308,6 +343,22 @@ machineIdFor(std::uint32_t cores, bool hybrid)
     if (hybrid)
         id += id.empty() ? "hyb" : "+hyb";
     return id;
+}
+
+bool
+parseMachineId(const std::string &id, std::uint32_t &cores, bool &hybrid)
+{
+    // Read an optional "cN", take anything after it as the hybrid
+    // suffix, and accept only the label machineIdFor() prints back.
+    std::uint32_t c = 16;
+    const char *p = id.c_str(), *end = p + id.size();
+    if (*p == 'c')
+        p = std::from_chars(p + 1, end, c).ptr;
+    if (machineIdFor(c, p != end) != id)
+        return false;
+    cores = c;
+    hybrid = p != end;
+    return true;
 }
 
 } // namespace refrint

@@ -177,9 +177,15 @@ struct MachineConfig
     /** Set every level's cell technology. */
     void setTech(CellTech t);
 
-    /** Panics unless the descriptor set is a machine the protocol can
-     *  run: the four roles present exactly once, the LLC last and
-     *  banked-shared, cores in [1, 64], banks tiling the torus. */
+    /** Whether the descriptor set is a machine the simulator can run:
+     *  the four roles present exactly once, the LLC last and
+     *  banked-shared, cores in [1, 64], banks tiling the torus, every
+     *  refreshed level's sentry margin shorter than the retention, and
+     *  a thermal machine at a resolvable ambient without SmartRefresh.
+     *  False with the reason in @p err otherwise. */
+    bool check(std::string &err) const;
+
+    /** Panics with check()'s reason unless check() passes. */
     void validate() const;
 
     /** Shrink every cache by @p factor (power of two) for fast tests. */
@@ -236,6 +242,10 @@ std::uint32_t torusDimFor(std::uint32_t tiles);
  * (cores, hybrid) pair always matches the built machine's machineId.
  */
 std::string machineIdFor(std::uint32_t cores, bool hybrid);
+
+/** Inverse of machineIdFor(); false for a label it never prints. */
+bool parseMachineId(const std::string &id, std::uint32_t &cores,
+                    bool &hybrid);
 
 } // namespace refrint
 

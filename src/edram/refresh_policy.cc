@@ -1,8 +1,7 @@
 #include "edram/refresh_policy.hh"
 
+#include <charconv>
 #include <cstdio>
-
-#include "common/log.hh"
 
 namespace refrint
 {
@@ -80,32 +79,35 @@ RefreshPolicy::refrint(DataPolicy d, std::uint32_t n, std::uint32_t m)
     return RefreshPolicy{TimePolicy::Refrint, d, n, m};
 }
 
-RefreshPolicy
-parsePolicy(const std::string &s)
+bool
+parsePolicy(const std::string &s, RefreshPolicy &out)
 {
+    // Read a time letter, a data policy and any WB counts loosely, then
+    // accept only the spelling name() prints back: that one comparison
+    // turns away unknown letters, signs, leading zeros, a count past 32
+    // bits, a missing ')' and trailing bytes.
     RefreshPolicy p;
-    if (s.size() < 3 || (s[0] != 'P' && s[0] != 'R' && s[0] != 'S') ||
-        s[1] != '.')
-        fatal("cannot parse policy '%s'", s.c_str());
-    p.time = s[0] == 'P'   ? TimePolicy::Periodic
-             : s[0] == 'R' ? TimePolicy::Refrint
-                           : TimePolicy::SmartRefresh;
-    const std::string body = s.substr(2);
+    p.time = s[0] == 'R'   ? TimePolicy::Refrint
+             : s[0] == 'S' ? TimePolicy::SmartRefresh
+                           : TimePolicy::Periodic;
+    const std::string body = s.size() > 2 ? s.substr(2) : s;
     if (body == "all") {
         p.data = DataPolicy::All;
     } else if (body == "valid") {
         p.data = DataPolicy::Valid;
     } else if (body == "dirty") {
         p.data = DataPolicy::Dirty;
-    } else {
-        unsigned n = 0, m = 0;
-        if (std::sscanf(body.c_str(), "WB(%u,%u)", &n, &m) != 2)
-            fatal("cannot parse policy '%s'", s.c_str());
+    } else if (body.compare(0, 3, "WB(") == 0) {
         p.data = DataPolicy::WB;
-        p.n = n;
-        p.m = m;
+        const char *end = body.data() + body.size();
+        const char *comma = std::from_chars(body.data() + 3, end, p.n).ptr;
+        if (comma != end)
+            std::from_chars(comma + 1, end, p.m);
     }
-    return p;
+    if (p.name() != s)
+        return false;
+    out = p;
+    return true;
 }
 
 } // namespace refrint

@@ -140,8 +140,9 @@ noteAccess(const RefreshPolicy &policy, CacheLine &line)
         line.count = line.dirty ? policy.n : policy.m;
 }
 
-/** Parse "R.WB(32,32)" / "P.valid" style names (round-trips name()). */
-RefreshPolicy parsePolicy(const std::string &s);
+/** Parse a policy name such as "R.WB(32,32)" or "P.valid" into @p out.
+ *  Accepts exactly the names name() prints; false for anything else. */
+bool parsePolicy(const std::string &s, RefreshPolicy &out);
 
 } // namespace refrint
 

@@ -84,18 +84,24 @@ struct CacheGeometry
     /** Tag for @p a (we keep full line addresses as tags for clarity). */
     Addr tagOf(Addr a) const { return lineAddr(a); }
 
-    /** Validate invariants; call once at construction time. */
+    /** Power-of-two line size, associativity and set count, and a
+     *  size that is a whole number of sets. */
+    bool
+    valid() const
+    {
+        return isPowerOfTwo(lineSize) && isPowerOfTwo(assoc) &&
+               sizeBytes != 0 && isPowerOfTwo(numSets()) &&
+               sizeBytes % (std::uint64_t{lineSize} * assoc) == 0;
+    }
+
+    /** Fatal unless valid(); call once at construction time. */
     void
     check(const char *name) const
     {
-        if (!isPowerOfTwo(lineSize) || !isPowerOfTwo(assoc) ||
-            sizeBytes == 0 || sizeBytes % (static_cast<std::uint64_t>(
-                                               lineSize) * assoc) != 0 ||
-            !isPowerOfTwo(numSets())) {
+        if (!valid())
             fatal("bad cache geometry for %s: size=%llu assoc=%u line=%u",
                   name, static_cast<unsigned long long>(sizeBytes), assoc,
                   lineSize);
-        }
     }
 };
 

@@ -452,34 +452,4 @@ scrubStore(const std::string &dir, bool repair, std::FILE *out)
     return report;
 }
 
-std::size_t
-migrateLegacyCache(const std::string &cachePath,
-                   const std::string &storeDir)
-{
-    std::ifstream in(cachePath); // read-only import: never written back
-    if (!in)
-        fatal("cannot read legacy cache file: %s", cachePath.c_str());
-    std::string line;
-    std::getline(in, line);
-    if (line != "v5" && line != "v6" && line != "v7" && line != "v8")
-        fatal("legacy cache file %s has header '%.16s'; only v5-v8 "
-              "files can be imported",
-              cachePath.c_str(), line.c_str());
-    // Last occurrence per key wins; rows are imported in key order.
-    std::map<std::string, CacheRow> rows;
-    while (std::getline(in, line)) {
-        const auto sep = line.find(';');
-        if (sep == std::string::npos)
-            continue;
-        CacheRow c{};
-        if (decodeCacheRow(line.substr(sep + 1), c))
-            rows[line.substr(0, sep)] = c;
-    }
-    ShardedStore store(storeDir);
-    for (const auto &[key, row] : rows)
-        store.insert(key, row);
-    store.flush();
-    return rows.size();
-}
-
 } // namespace refrint

@@ -14,8 +14,7 @@
  * lives in shard fnv64(key) % shards forever (the shard count is
  * fixed at creation and recorded in the manifest).  Each record's
  * payload is "key;row" with the row encoded by the %.17g codec of
- * api/result_store.hh — the codec legacy CSV caches used too, so a
- * migrated row is byte-identical to a freshly simulated one.
+ * api/result_store.hh.
  *
  * Concurrency model: any number of *processes* may append to the same
  * store concurrently — every insert is one O_APPEND write of one
@@ -150,20 +149,6 @@ struct ScrubReport
  */
 ScrubReport scrubStore(const std::string &dir, bool repair,
                        std::FILE *out = nullptr);
-
-/**
- * Import every row of a legacy single-file CSV cache into the sharded
- * store at @p storeDir.  The file is a "vN" header line (v5 to v8)
- * followed by one "key;row" line per run, the row in the
- * encodeCacheRow codec; the last line of a repeated key wins.  Returns
- * the number of rows imported; fatal (exit 1) when @p cachePath is
- * missing or unreadable or its header names another version.  The file
- * is read and checked before the store is opened, so a failed
- * migration leaves no store behind.  The legacy file is only read,
- * never modified.
- */
-std::size_t migrateLegacyCache(const std::string &cachePath,
-                               const std::string &storeDir);
 
 } // namespace refrint
 

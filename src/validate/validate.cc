@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -73,54 +71,6 @@ constexpr std::size_t kPrintCap = 10;
 
 // ---------------------------------------------------------------------
 
-/** Inverse of machineIdFor(): "" / "hyb" / "cN" / "cN+hyb". */
-bool
-parseMachineLabel(const std::string &m, std::uint32_t &cores,
-                  bool &hybrid)
-{
-    cores = 16;
-    hybrid = false;
-    if (m.empty())
-        return true;
-    std::string rest = m;
-    if (rest == "hyb") {
-        hybrid = true;
-        return true;
-    }
-    if (rest.size() > 4 &&
-        rest.compare(rest.size() - 4, 4, "+hyb") == 0) {
-        hybrid = true;
-        rest.resize(rest.size() - 4);
-    }
-    if (rest.size() < 2 || rest[0] != 'c')
-        return false;
-    char *end = nullptr;
-    const long v = std::strtol(rest.c_str() + 1, &end, 10);
-    if (end == rest.c_str() + 1 || *end != '\0' || v < 1 || v > 1024)
-        return false;
-    cores = static_cast<std::uint32_t>(v);
-    return true;
-}
-
-/** Non-fatal mirror of parsePolicy()'s grammar. */
-bool
-knownConfig(const std::string &s)
-{
-    if (s == "SRAM")
-        return true;
-    if (s.size() < 3 ||
-        (s[0] != 'P' && s[0] != 'R' && s[0] != 'S') || s[1] != '.')
-        return false;
-    const std::string body = s.substr(2);
-    if (body == "all" || body == "valid" || body == "dirty")
-        return true;
-    unsigned n = 0, mm = 0;
-    char close = 0;
-    return std::sscanf(body.c_str(), "WB(%u,%u%c", &n, &mm, &close) ==
-               3 &&
-           close == ')';
-}
-
 /** Scenario family label for the calibration table: "SRAM", "P.all",
  *  "R.WB", ... (WB tuples collapsed). */
 std::string
@@ -185,9 +135,8 @@ runValidate(const ValidateOptions &opts, ValidateReport *reportOut)
     };
     char buf[256];
 
-    // Memoized machine configs and workload resolutions: a corpus has
-    // few distinct machines and apps relative to rows.
-    std::map<std::string, MachineConfig> machines;
+    // Memoized workload resolutions: a corpus has few distinct apps
+    // relative to rows.
     std::map<std::string, const Workload *> workloads;
 
     // Cross-row groups.
@@ -201,6 +150,21 @@ runValidate(const ValidateOptions &opts, ValidateReport *reportOut)
                                    "this cache key");
             continue;
         }
+        // The key must name a scenario the simulator can run.
+        Scenario sc;
+        sc.config = k.config;
+        sc.retentionUs = k.retentionUs;
+        sc.ambientC = k.ambientC;
+        std::string why;
+        if (!parseMachineId(k.machine, sc.cores, sc.hybrid))
+            why = "unknown machine label '" + k.machine + "'";
+        else
+            sc.check(why);
+        if (!why.empty()) {
+            addV(key, "key-parse", why);
+            continue;
+        }
+        const MachineConfig cfg = sc.machine(EnergyParams::calibrated());
 
         // ---- field sanity ------------------------------------------
         const struct
@@ -273,55 +237,19 @@ runValidate(const ValidateOptions &opts, ValidateReport *reportOut)
                  "row ambientC differs from the key's |amb= segment");
 
         // ---- SRAM rows carry no refresh ----------------------------
-        if (k.config == "SRAM") {
-            if (row.refresh != 0 || row.refreshes3 != 0 ||
-                row.refWbs != 0 || row.refInvals != 0)
-                addV(key, "sram-no-refresh",
-                     "SRAM baseline row carries refresh activity");
-            if (k.retentionUs != 0)
-                addV(key, "sram-no-refresh",
-                     "SRAM baseline row keyed with a retention");
-        }
-
-        // ---- machine + workload resolution -------------------------
-        std::uint32_t cores = 16;
-        bool hybrid = false;
-        if (!parseMachineLabel(k.machine, cores, hybrid)) {
-            addV(key, "key-parse",
-                 "unknown machine label '" + k.machine + "'");
-            continue;
-        }
-        MachineConfig *cfg = nullptr;
-        if (knownConfig(k.config)) {
-            std::snprintf(buf, sizeof(buf), "%s|%.17g|%.17g|%u|%d",
-                          k.config.c_str(), k.retentionUs, k.ambientC,
-                          cores, hybrid ? 1 : 0);
-            auto [it, inserted] = machines.try_emplace(buf);
-            if (inserted) {
-                Scenario sc;
-                sc.app = k.app;
-                sc.config = k.config;
-                sc.retentionUs = k.retentionUs;
-                sc.ambientC = k.ambientC;
-                sc.cores = cores;
-                sc.hybrid = hybrid;
-                it->second = sc.machine(EnergyParams::calibrated());
-            }
-            cfg = &it->second;
-        } else {
-            addV(key, "key-parse",
-                 "unknown config '" + k.config + "'");
-            continue;
-        }
+        if (k.config == "SRAM" &&
+            (row.refresh != 0 || row.refreshes3 != 0 || row.refWbs != 0 ||
+             row.refInvals != 0))
+            addV(key, "sram-no-refresh",
+                 "SRAM baseline row carries refresh activity");
 
         double cellOverSentry = 1.0;
-        if (cfg != nullptr && k.config != "SRAM" &&
-            cfg->llc().tech == CellTech::Edram) {
-            const std::uint32_t bankLines = cfg->llc().geom.numLines();
+        if (k.config != "SRAM" && cfg.llc().tech == CellTech::Edram) {
+            const std::uint32_t bankLines = cfg.llc().geom.numLines();
             const double cell =
-                static_cast<double>(cfg->retention.cellRetention);
+                static_cast<double>(cfg.retention.cellRetention);
             const double sentry = static_cast<double>(
-                cfg->retention.sentryRetention(bankLines));
+                cfg.retention.sentryRetention(bankLines));
             cellOverSentry = fdiv(cell, sentry);
 
             // ---- LLC refresh ceiling -------------------------------
@@ -330,9 +258,9 @@ runValidate(const ValidateOptions &opts, ValidateReport *reportOut)
             // shrinks by the thermal factor.
             double eff = sentry;
             if (row.maxTempC > 0)
-                eff *= cfg->retention.thermal.factorAt(row.maxTempC);
+                eff *= cfg.retention.thermal.factorAt(row.maxTempC);
             const double l3Total = static_cast<double>(bankLines) *
-                                   cfg->numBanks;
+                                   cfg.numBanks;
             const double ceiling =
                 l3Total * (fdiv(row.execTicks, eff) + 2.0) *
                 kCeilingSlack;
@@ -403,7 +331,7 @@ runValidate(const ValidateOptions &opts, ValidateReport *reportOut)
                 in.ambientC = row.ambientC;
                 in.maxTempC = row.maxTempC;
                 const AnalyticPrediction pred =
-                    analyticPredict(in, *cfg,
+                    analyticPredict(in, cfg,
                                     EnergyParams::calibrated());
                 const double predSys = pred.systemTotal();
                 const double err =

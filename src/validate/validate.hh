@@ -2,9 +2,12 @@
  * @file
  * Corpus-wide invariant checker behind `refrint validate`.
  *
- * Streams every row out of a result corpus (a sharded store; import
- * a legacy CSV cache with `refrint cache migrate` first), rebuilds
- * each row's scenario from its key, and checks two kinds of facts:
+ * Streams every row out of a result corpus (a sharded store) and
+ * rebuilds each row's scenario from its key.  A key that names no
+ * scenario the simulator can run (ScenarioKey::parse, parseMachineId
+ * and Scenario::check, the rules every front end applies) is a
+ * key-parse violation, never an abort.  The rest are checked for two
+ * kinds of facts:
  *
  *  - row-local invariants: finite/non-negative fields, the per-level
  *    vs. per-component decomposition identity, monotone latency

@@ -602,6 +602,50 @@ TEST(ExperimentPlanTest, LoaderRejectsBrokenPlans)
     EXPECT_NE(err.find("P.* or R.*"), std::string::npos) << err;
     EXPECT_TRUE(ExperimentPlan::tryFromJson(smartAt("0"), plan, err))
         << err;
+
+    // Every scenario field goes through Scenario::check: a config that
+    // is no canonical policy name, an eDRAM retention that is not
+    // positive, does not fit a Tick or leaves the sentry nothing, and
+    // an SRAM scenario with a retention are load errors, so nothing is
+    // simulated under a key no canonical scenario has.
+    auto scenarioOf = [](const char *config, const char *retentionUs) {
+        return std::string("{\"plan\": \"x\", \"version\": 1, "
+                           "\"scenarios\": [{\"app\": \"fft\", "
+                           "\"config\": \"") +
+               config + "\", \"retentionUs\": " + retentionUs +
+               ", \"ambientC\": 0, \"cores\": 16, \"refs\": 100, "
+               "\"seed\": 1, \"baseline\": -1}]}";
+    };
+    const struct
+    {
+        const char *config, *retentionUs, *message;
+    } rejected[] = {
+        {"Q.all", "50", "unknown config 'Q.all'"},
+        {"p.all", "50", "unknown config 'p.all'"},
+        {"P.WB(4,4", "50", "unknown config"},
+        {"P.WB(4,4)xyz", "50", "unknown config"},
+        {"P.WB(-1,4)", "50", "unknown config"},
+        {"P.all", "0", "positive retention"},
+        {"P.all", "1e300", "positive retention"},
+        {"P.all", "-5", "positive retention"},
+        {"P.all", "16", "sentry margin"},
+        {"SRAM", "50", "SRAM scenario takes no retention"},
+    };
+    for (const auto &r : rejected) {
+        const std::string text = scenarioOf(r.config, r.retentionUs);
+        EXPECT_FALSE(ExperimentPlan::tryFromJson(text, plan, err)) << text;
+        EXPECT_NE(err.find(r.message), std::string::npos) << err;
+    }
+    EXPECT_EXIT(ExperimentPlan::fromJson(scenarioOf("Q.all", "50")),
+                ::testing::ExitedWithCode(1), "unknown config 'Q.all'");
+    EXPECT_TRUE(
+        ExperimentPlan::tryFromJson(scenarioOf("P.WB(4,4)", "50"), plan, err))
+        << err;
+    // A core count past 32 bits is an integer range error, not a
+    // truncation to 16 cores.
+    EXPECT_EXIT(
+        ExperimentPlan::fromJson(scenarioWith("cores", "4294967312")),
+        ::testing::ExitedWithCode(1), "integer");
 }
 
 TEST(ExperimentPlanTest, LoaderRejectsCrossFamilyBaselines)

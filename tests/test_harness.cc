@@ -62,7 +62,8 @@ TEST(SweepSpecTest, PaperRetentionsAre50_100_200us)
 TEST(SweepSpecTest, PolicyNamesRoundTripThroughParse)
 {
     for (const RefreshPolicy &p : paperPolicySweep()) {
-        const RefreshPolicy q = parsePolicy(p.name());
+        RefreshPolicy q;
+        ASSERT_TRUE(parsePolicy(p.name(), q));
         EXPECT_EQ(q.name(), p.name());
         EXPECT_EQ(q.time, p.time);
         EXPECT_EQ(q.data, p.data);

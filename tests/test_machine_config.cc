@@ -155,6 +155,30 @@ TEST(MachineConfig, ValidateRejectsBrokenDescriptorSets)
         MachineConfig::paperHybrid(smart, usToTicks(50.0));
     hybridSmart.thermal.enabled = true;
     EXPECT_DEATH(hybridSmart.validate(), "SmartRefresh");
+
+    // An LLC bank has 16,384 lines, so its sentry margin is 16.384 us:
+    // a 16 us retention leaves the sentry nothing.  Just above the
+    // margin is a machine.
+    const RefreshPolicy pall = RefreshPolicy::periodic(DataPolicy::All);
+    EXPECT_DEATH(MachineConfig::paperEdram(pall, usToTicks(16.0)).validate(),
+                 "sentry margin");
+    std::string err;
+    EXPECT_FALSE(MachineConfig::paperHybrid(pall, 16'384).check(err));
+    EXPECT_NE(err.find("l3: the 16.384 us sentry margin"),
+              std::string::npos)
+        << err;
+    EXPECT_TRUE(MachineConfig::paperEdram(pall, 16'385).check(err)) << err;
+
+    // A thermal machine's ambient must lie where the thermal response
+    // resolves it (35-135 deg C).
+    EXPECT_DEATH(
+        MachineConfig::paperEdramThermal(pall, usToTicks(50.0), 200.0)
+            .validate(),
+        "outside the thermal response");
+    EXPECT_TRUE(
+        MachineConfig::paperEdramThermal(pall, usToTicks(50.0), 135.0)
+            .check(err))
+        << err;
 }
 
 TEST(MachineSmoke, BinningMeasuresVisibilityOnTheSramTwin)

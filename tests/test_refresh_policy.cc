@@ -38,7 +38,9 @@ TEST(PolicyNames, RoundTrip)
     for (const char *s : {"P.all", "R.all", "P.valid", "R.valid",
                           "P.dirty", "R.dirty", "P.WB(4,4)",
                           "R.WB(32,32)", "R.WB(16,8)"}) {
-        EXPECT_EQ(parsePolicy(s).name(), s);
+        RefreshPolicy p;
+        ASSERT_TRUE(parsePolicy(s, p)) << s;
+        EXPECT_EQ(p.name(), s);
     }
 }
 
@@ -170,12 +172,20 @@ TEST(NoteAccess, NonWbPoliciesIgnoreCount)
 
 TEST(PolicyDeath, ParseRejectsGarbage)
 {
-    EXPECT_EXIT(parsePolicy("X.valid"), ::testing::ExitedWithCode(1),
-                "cannot parse");
-    EXPECT_EXIT(parsePolicy("R.WB(4)"), ::testing::ExitedWithCode(1),
-                "cannot parse");
-    EXPECT_EXIT(parsePolicy("R.bogus"), ::testing::ExitedWithCode(1),
-                "cannot parse");
+    // Anything name() does not print is rejected, without exiting: a
+    // missing ')', trailing bytes, a sign, a leading zero, a count past
+    // 32 bits, a lower-case time letter.
+    for (const char *s :
+         {"X.valid", "R.WB(4)", "R.bogus", "", "P.", "P.WB(", "P.WB(4,4",
+          "P.WB(4,4)xyz", "P.WB(-1,4)", "P.WB(+1,4)", "P.WB(04,4)",
+          "P.WB(4, 4)", "P.WB(4294967296,4)", "p.all", "P.all ", "SRAM"}) {
+        RefreshPolicy p = RefreshPolicy::periodic(DataPolicy::Dirty);
+        EXPECT_FALSE(parsePolicy(s, p)) << s;
+        EXPECT_EQ(p.name(), "P.dirty") << s; // untouched on failure
+    }
+    RefreshPolicy p;
+    ASSERT_TRUE(parsePolicy("S.WB(4294967295,0)", p));
+    EXPECT_EQ(p.n, 4294967295u);
 }
 
 } // namespace refrint::test

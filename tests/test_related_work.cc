@@ -53,7 +53,8 @@ TEST(SmartRefresh, PolicyNameAndParseRoundTrip)
 {
     RefreshPolicy p{TimePolicy::SmartRefresh, DataPolicy::Valid, 0, 0};
     EXPECT_EQ(p.name(), "S.valid");
-    const RefreshPolicy q = parsePolicy("S.WB(8,8)");
+    RefreshPolicy q;
+    ASSERT_TRUE(parsePolicy("S.WB(8,8)", q));
     EXPECT_EQ(q.time, TimePolicy::SmartRefresh);
     EXPECT_EQ(q.data, DataPolicy::WB);
     EXPECT_EQ(q.n, 8u);

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the experiment service (src/service/): record framing,
- * the sharded result store (concurrent writers, torn records, legacy
- * migration), scrub & repair, resuming a killed sweep from its store
- * under injected faults ($REFRINT_FAULTS), and the serve loop's
- * overload control (queue shedding, idle timeout, SIGTERM drain).
+ * the sharded result store (concurrent writers, torn records), scrub
+ * & repair, resuming a killed sweep from its store under injected
+ * faults ($REFRINT_FAULTS), and the serve loop's overload control
+ * (queue shedding, idle timeout, SIGTERM drain) and its answer to a
+ * rejected plan.
  * The multi-process tests fork real children that open the store,
  * run sessions and crash exactly as separate processes do.
  */
@@ -344,58 +345,6 @@ TEST(ShardedStoreTest, ProcessesCreatingOneStoreAtOnceAgreeOnItsManifest)
         for (const unsigned u : used)
             EXPECT_EQ(u, want) << "round " << round;
     }
-}
-
-TEST(ShardedStoreTest, MigratesLegacyCacheRowsExactly)
-{
-    TempDir dir;
-    const std::string cachePath = dir.file("legacy.csv");
-    {
-        // A legacy CSV cache: version header, then "key;row" lines.
-        // A repeated key keeps its last row.
-        std::ofstream legacy(cachePath);
-        legacy << "v8\n"
-               << "legacy-7;" << encodeCacheRow(makeRow(99.0)) << "\n";
-        for (int i = 0; i < 25; ++i)
-            legacy << "legacy-" << i << ";"
-                   << encodeCacheRow(makeRow(static_cast<double>(i)))
-                   << "\n";
-    }
-    EXPECT_EQ(migrateLegacyCache(cachePath, dir.file("store")), 25u);
-    ShardedStore store(dir.file("store"));
-    EXPECT_EQ(store.rowCount(), 25u);
-    for (int i = 0; i < 25; ++i) {
-        CacheRow c{};
-        ASSERT_TRUE(store.lookup("legacy-" + std::to_string(i), c));
-        EXPECT_TRUE(sameRow(c, makeRow(static_cast<double>(i))));
-    }
-    // The source file is read-only for the migration.
-    EXPECT_TRUE(std::filesystem::exists(cachePath));
-
-    // A missing source is a clean exit-1 diagnostic.
-    EXPECT_EXIT(migrateLegacyCache(dir.file("nope.csv"), dir.file("store")),
-                ::testing::ExitedWithCode(1), "cannot read legacy");
-}
-
-TEST(ShardedStoreTest, MigrateRejectsACacheOfAnotherVersion)
-{
-    TempDir dir;
-    // A header outside v5-v8 is fatal, not a silent 0-row import, and a
-    // missing file is fatal too; either way the store directory is
-    // never created.
-    const std::string storeDir = dir.file("store");
-    for (const char *header : {"v4", "v9", ""}) {
-        const std::string cachePath = dir.file("other.csv");
-        std::ofstream(cachePath)
-            << header << "\nk;" << encodeCacheRow(makeRow(1.0)) << "\n";
-        EXPECT_EXIT(migrateLegacyCache(cachePath, storeDir),
-                    ::testing::ExitedWithCode(1), "only v5-v8")
-            << header;
-        EXPECT_FALSE(std::filesystem::exists(storeDir)) << header;
-    }
-    EXPECT_EXIT(migrateLegacyCache(dir.file("missing.csv"), storeDir),
-                ::testing::ExitedWithCode(1), "cannot read legacy");
-    EXPECT_FALSE(std::filesystem::exists(storeDir));
 }
 
 // ---------------------------------------------------------------------
@@ -967,6 +916,51 @@ TEST(ServeTest, DropConnFaultSeversTheConversationNotTheService)
     EXPECT_TRUE(sendLine(fd2, "{\"op\":\"shutdown\"}"));
     EXPECT_EQ(readLine(fd2), "{\"bye\":true}");
     ::close(fd2);
+    const int status = waitExit(server);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(ServeTest, RejectedPlanAnswersAnErrorAndTheServiceStaysUp)
+{
+    TempDir dir;
+    ServeOptions opts;
+    opts.socketPath = dir.file("s.sock");
+    opts.storeDir = dir.file("store");
+    opts.jobs = 1;
+    ServerGuard server{forkServe(opts)};
+    ASSERT_GE(server.pid, 0);
+
+    // An SRAM baseline and one eDRAM scenario of fft.
+    auto plan = [](const char *config, const char *retentionUs) {
+        return std::string(
+                   "{\"plan\": \"x\", \"version\": 1, \"scenarios\": ["
+                   "{\"app\": \"fft\", \"config\": \"SRAM\", "
+                   "\"retentionUs\": 0, \"ambientC\": 0, \"cores\": 16, "
+                   "\"refs\": 100, \"seed\": 1, \"baseline\": -1}, "
+                   "{\"app\": \"fft\", \"config\": \"") +
+               config + "\", \"retentionUs\": " + retentionUs +
+               ", \"ambientC\": 0, \"cores\": 16, \"refs\": 100, "
+               "\"seed\": 1, \"baseline\": 0}]}";
+    };
+    // An unknown policy and a zero retention are each refused at load
+    // time with an error line, before anything is simulated, and the
+    // service goes on answering.
+    const int fd = connectUnix(opts.socketPath);
+    ASSERT_GE(fd, 0);
+    for (const std::string &p : {plan("Q.all", "50"), plan("P.all", "0")}) {
+        ASSERT_TRUE(sendLine(fd, p));
+        const std::string reply = readLine(fd);
+        EXPECT_EQ(reply.rfind("{\"error\"", 0), 0u) << reply;
+    }
+    ASSERT_TRUE(sendLine(fd, "{\"op\":\"stats\"}"));
+    const std::string stats = readLine(fd);
+    EXPECT_NE(stats.find("\"stats\":true"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"errors\":2,"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"scenarios\":0,"), std::string::npos) << stats;
+    EXPECT_TRUE(sendLine(fd, "{\"op\":\"shutdown\"}"));
+    EXPECT_EQ(readLine(fd), "{\"bye\":true}");
+    ::close(fd);
     const int status = waitExit(server);
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0);

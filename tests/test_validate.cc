@@ -112,6 +112,17 @@ TEST(ScenarioKeyParseTest, RejectsWhatStrCannotEmit)
     // Trailing garbage after the last recognized segment.
     EXPECT_FALSE(ScenarioKey::parse(
         "fft|P.all|50.0|120000|1|mach=c32|extra", k));
+    // Numbers str() would print another way: an exponent, a missing
+    // ".0", a space or a sign, refs or a seed that are no decimal
+    // integer (1e300 once read back as 0), a zero ambient.
+    for (const char *key :
+         {"fft|P.all|5e1|120000|1", "fft|P.all|50|120000|1",
+          "fft|P.all|50.0|1e3|1", "fft|P.all| 50.0|120000|+1",
+          "fft|P.all|50.0|1e300|1", "fft|P.all|50.0|120000|1.0",
+          "fft|P.all|50.00|120000|1", "fft|P.all|nan|120000|1",
+          "fft|P.all|50.0|120000|1|amb=0.00",
+          "fft|P.all|50.0|120000|1|amb=45"})
+        EXPECT_FALSE(ScenarioKey::parse(key, k)) << key;
 }
 
 // ---------------------------------------------------------------------
@@ -184,9 +195,10 @@ TEST(CacheRowCodecTest, AltTailRoundTripsWhenPresent)
     EXPECT_EQ(back.reqP99Us, c.reqP99Us);
 }
 
-TEST(CacheRowCodecTest, LegacyPrefixLengthsStillDecode)
+TEST(CacheRowCodecTest, LegacyPrefixLengthsAreRejected)
 {
-    // A v5/v6 row is the first 19 fields; later fields read as zero.
+    // A v5/v6 row was the first 19 fields.  Every store row has had at
+    // least 23, so a 19-field payload is a framing error, not a row.
     std::string payload = encodeCacheRow(sampleRow());
     std::size_t cut = payload.size();
     for (std::size_t i = 0, commas = 0; i < payload.size(); ++i) {
@@ -197,12 +209,9 @@ TEST(CacheRowCodecTest, LegacyPrefixLengthsStillDecode)
     }
     ASSERT_LT(cut, payload.size());
     CacheRow back{};
-    ASSERT_TRUE(decodeCacheRow(payload.substr(0, cut), back));
-    EXPECT_EQ(back.execTicks, 12345.0);
-    EXPECT_EQ(back.requests, 0.0);
-    EXPECT_EQ(back.altPresent, 0.0);
+    EXPECT_FALSE(decodeCacheRow(payload.substr(0, cut), back));
 
-    // Any other field count is a framing error, not a row.
+    // So is any other short field count.
     CacheRow junk{};
     EXPECT_FALSE(decodeCacheRow("1,2,3", junk));
     EXPECT_FALSE(decodeCacheRow("", junk));
@@ -407,6 +416,45 @@ TEST(ValidateTest, FlagsACorruptedRowAndWritesTheJsonReport)
     std::fclose(sink);
     std::filesystem::remove_all(dir);
     std::remove(json.c_str());
+}
+
+TEST(ValidateTest, HostileKeysAreViolationsNotAborts)
+{
+    // Keys that parse but name no scenario the simulator can build: a
+    // machine past 64 cores or under 4, a retention of zero, one the
+    // sentry margin consumes, an unknown or non-canonical config, an
+    // SRAM row keyed with a retention or an ambient, a machine label
+    // machineIdFor() never prints.  Each is a key-parse violation.
+    const char *keys[] = {
+        "fft|P.all|50.0|100|1|mach=c100", "fft|P.all|50.0|100|1|mach=c2",
+        "fft|P.all|0.0|100|1",            "fft|P.all|16.0|100|1",
+        "fft|P.all|-5.0|100|1",           "fft|Q.all|50.0|100|1",
+        "fft|P.WB(04,4)|50.0|100|1",      "fft|SRAM|50.0|100|1",
+        "fft|SRAM|0.0|100|1|amb=45.00",   "fft|P.all|50.0|100|1|mach=c16",
+        "fft|S.all|50.0|100|1|amb=85.00",
+        "fft|P.all|50.0|100|1|amb=200.00",
+    };
+    const std::string dir = ::testing::TempDir() + "/validate_hostile";
+    std::filesystem::remove_all(dir);
+    {
+        ShardedStore store(dir);
+        for (const char *key : keys)
+            store.insert(key, sampleRow());
+        store.flush();
+    }
+    std::FILE *sink = std::tmpfile();
+    ASSERT_NE(sink, nullptr);
+    ValidateOptions opts;
+    opts.storeDir = dir;
+    opts.out = sink;
+    ValidateReport rep;
+    EXPECT_EQ(runValidate(opts, &rep), 1);
+    EXPECT_EQ(rep.rows, std::size(keys));
+    ASSERT_EQ(rep.violations.size(), std::size(keys));
+    for (const ValidateFinding &f : rep.violations)
+        EXPECT_EQ(f.check, "key-parse") << f.key << ": " << f.detail;
+    std::fclose(sink);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ValidateTest, DiesCleanlyOnAMissingCorpus)

@@ -34,7 +34,6 @@
 #include "api/result_sink.hh"
 #include "api/session.hh"
 #include "common/env.hh"
-#include "edram/retention.hh"
 #include "harness/report.hh"
 #include "service/serve.hh"
 #include "service/store.hh"
@@ -126,8 +125,7 @@ const Flag kFlags[] = {
     {"--app", "SPEC", &Args::apps, kGrid,
      "workload name or method spec (see 'list'; default\n"
      "fft); repeated, it replaces the paper-app axis"},
-    {"--in", "FILE", &Args::in, kNotGrid,
-     "the trace to run, or the legacy CSV cache to import"},
+    {"--in", "FILE", &Args::in, kNotGrid, "the trace to run"},
     {"--policy", "P", &Args::policy, kNotGrid,
      "refresh policy (default R.WB(32,32); see 'list')"},
     {"--retention", "US", &Args::retentionUs, kGrid,
@@ -335,18 +333,7 @@ parseArgs(const Command &cmd, int argc, char **argv)
     return a;
 }
 
-/** Usage error unless the thermal response resolves ambient @p c. */
-void
-checkAmbient(const char *flag, double c)
-{
-    const ThermalResponse resp{};
-    if (c < resp.minAmbientC() || c > resp.maxAmbientC())
-        usageError("%s %g is outside the thermal response's resolvable "
-                   "range [%g, %g] deg C",
-                   flag, c, resp.minAmbientC(), resp.maxAmbientC());
-}
-
-/** Parse the --ambients comma list into strictly valid temperatures. */
+/** Parse the --ambients comma list into positive temperatures. */
 std::vector<double>
 parseAmbients(const std::string &list)
 {
@@ -359,7 +346,6 @@ parseAmbients(const std::string &list)
             usageError("--ambients wants positive deg C values, got "
                        "'%s'",
                        tok.c_str());
-        checkAmbient("--ambients value", v);
         out.push_back(v);
     }
     if (out.empty())
@@ -478,6 +464,18 @@ machinesFor(const Args &a)
     return {MachineAxis{static_cast<std::uint32_t>(a.cores), a.hybrid}};
 }
 
+/** @p plan, once every scenario of it passes Scenario::check; a usage
+ *  error otherwise. */
+ExperimentPlan
+runnable(ExperimentPlan plan)
+{
+    std::string err;
+    for (const Scenario &sc : plan.scenarios)
+        if (!sc.check(err))
+            usageError("%s", err.c_str());
+    return plan;
+}
+
 /** The sweep/figures grid for the given flags (the paper's Table 5.4
  *  grid, possibly on a scaled or hybrid machine). */
 ExperimentPlan
@@ -500,7 +498,7 @@ sweepPlanFor(const Args &a, bool announceMachine)
         std::printf("machine: %u cores (%s)\n", spec.machines[0].cores,
                     a.hybrid ? "hybrid SRAM L1/L2 + eDRAM LLC"
                              : "uniform tech");
-    return ExperimentPlan::fromSweepSpec(std::move(spec));
+    return runnable(ExperimentPlan::fromSweepSpec(std::move(spec)));
 }
 
 /** The ambient-temperature study plan for the given flags; null app
@@ -511,9 +509,9 @@ thermalPlanFor(const Args &a)
     SimParams sim;
     sim.refsPerCore = a.refs;
     sim.seed = a.seed;
-    return ExperimentPlan::thermalStudy(a.app(), a.retentionUs,
-                                        parseAmbients(a.ambients), sim,
-                                        machinesFor(a));
+    return runnable(ExperimentPlan::thermalStudy(
+        a.app(), a.retentionUs, parseAmbients(a.ambients), sim,
+        machinesFor(a)));
 }
 
 // ---------------------------------------------------------------------
@@ -540,30 +538,21 @@ machineFor(const Args &a)
                 usageError("%s has no effect with --sram (SRAM cells "
                            "are never refreshed); drop one of them",
                            f);
-    if (a.ambientC > 0.0) {
-        checkAmbient("--ambient", a.ambientC);
-        if (parsePolicy(a.policy).time == TimePolicy::SmartRefresh)
-            usageError("--ambient needs a P.* or R.* --policy: the "
-                       "SmartRefresh comparator does not model "
-                       "temperature-scaled retention");
-    }
     if (a.decayUs > 0.0)
         return MachineConfig::paperSramDecay(usToTicks(a.decayUs),
                                              a.cores);
-    if (a.sram)
-        return MachineConfig::paperSram(a.cores);
-    MachineConfig cfg =
-        a.hybrid ? MachineConfig::paperHybrid(parsePolicy(a.policy),
-                                              usToTicks(a.retentionUs),
-                                              a.cores)
-                 : MachineConfig::paperEdram(parsePolicy(a.policy),
-                                             usToTicks(a.retentionUs),
-                                             a.cores);
-    if (a.ambientC > 0.0) {
-        cfg.thermal.enabled = true;
-        cfg.thermal.ambientC = a.ambientC;
+    Scenario sc;
+    sc.cores = static_cast<std::uint32_t>(a.cores);
+    if (!a.sram) {
+        sc.config = a.policy;
+        sc.retentionUs = a.retentionUs;
+        sc.ambientC = a.ambientC;
+        sc.hybrid = a.hybrid;
     }
-    return cfg;
+    std::string err;
+    if (!sc.check(err))
+        usageError("%s", err.c_str());
+    return sc.machine(EnergyParams::calibrated());
 }
 
 void
@@ -791,50 +780,27 @@ cmdSubmit(const Args &a)
 int
 cmdCache(const Args &a)
 {
-    if (a.positional.empty() ||
-        (a.positional[0] != "migrate" && a.positional[0] != "scrub"))
-        usageError("cache wants the 'migrate' or 'scrub' action, e.g. "
+    if (a.positional.empty() || a.positional[0] != "scrub")
+        usageError("cache wants the 'scrub' action, e.g. "
                    "'refrint_cli cache scrub --store DIR --repair'");
-    const std::string action = a.positional[0];
-    const char *other = action == "scrub" ? "--in" : "--repair";
-    if (given(a, other))
-        usageError("cache %s does not take %s (only cache %s reads it)",
-                   action.c_str(), other,
-                   action == "scrub" ? "migrate" : "scrub");
     if (a.store.empty())
-        usageError("cache %s needs --store DIR (the sharded store to "
-                   "%s)",
-                   action.c_str(),
-                   action == "migrate" ? "import into" : "verify");
-
-    if (action == "scrub") {
-        const ScrubReport rep = scrubStore(a.store, a.repair, stdout);
-        std::printf("scrub: %u shard(s), %zu committed row(s), "
-                    "%zu unique key(s); %zu torn record(s), %zu corrupt "
-                    "line(s), %zu duplicate(s)%s\n",
-                    rep.shardsScanned, rep.committed, rep.uniqueKeys,
-                    rep.torn, rep.corrupt, rep.duplicates,
-                    a.repair ? "" : " (use --repair to quarantine "
-                                    "and rebuild)");
-        if (a.repair && (rep.quarantined > 0 || rep.compacted > 0))
-            std::printf("scrub: quarantined %zu bad line(s) to "
-                        "shard-NNN.bad, compacted %zu superseded "
-                        "row(s)\n",
-                        rep.quarantined, rep.compacted);
-        // Exit 1 on unrepaired damage so scripts can gate on it.
-        return rep.clean() || a.repair ? 0 : 1;
-    }
-
-    if (a.in.empty())
-        usageError("cache migrate needs --in FILE (the legacy CSV cache "
-                   "to import)");
-    const std::size_t n = migrateLegacyCache(a.in, a.store);
-    const ShardedStore store(a.store);
-    std::printf("migrated %zu row(s) from %s into %s (%u shards, "
-                "%zu rows total)\n",
-                n, a.in.c_str(), a.store.c_str(), store.shards(),
-                store.rowCount());
-    return 0;
+        usageError("cache scrub needs --store DIR (the sharded store to "
+                   "verify)");
+    const ScrubReport rep = scrubStore(a.store, a.repair, stdout);
+    std::printf("scrub: %u shard(s), %zu committed row(s), "
+                "%zu unique key(s); %zu torn record(s), %zu corrupt "
+                "line(s), %zu duplicate(s)%s\n",
+                rep.shardsScanned, rep.committed, rep.uniqueKeys,
+                rep.torn, rep.corrupt, rep.duplicates,
+                a.repair ? "" : " (use --repair to quarantine "
+                                "and rebuild)");
+    if (a.repair && (rep.quarantined > 0 || rep.compacted > 0))
+        std::printf("scrub: quarantined %zu bad line(s) to "
+                    "shard-NNN.bad, compacted %zu superseded "
+                    "row(s)\n",
+                    rep.quarantined, rep.compacted);
+    // Exit 1 on unrepaired damage so scripts can gate on it.
+    return rep.clean() || a.repair ? 0 : 1;
 }
 
 int
@@ -975,14 +941,11 @@ const Command kCommands[] = {
      "connect for ~2s, so 'serve &' then 'submit' works without\n"
      "sleeps.  Exits 1 when the server answers an error.\n",
      cmdSubmit},
-    {"cache", "migrate into, or scrub & repair, a sharded store",
-     "--store --in --repair", 1,
-     "usage: refrint_cli cache migrate --in FILE --store DIR\n"
-     "       refrint_cli cache scrub   --store DIR [--repair]\n"
-     "\nMigrated rows (from a v5-v8 CSV cache) are byte-identical to\n"
-     "freshly simulated ones.  Scrub verifies every record's\n"
-     "checksum, tells records a crash cut short from corrupt\n"
-     "lines, and exits 1 on unrepaired damage.\n",
+    {"cache", "scrub & repair a sharded store", "--store --repair", 1,
+     "usage: refrint_cli cache scrub --store DIR [--repair]\n"
+     "\nScrub verifies every record's checksum, tells records a crash\n"
+     "cut short from corrupt lines, and exits 1 on unrepaired\n"
+     "damage.\n",
      cmdCache},
     {"validate", "check a result corpus against the model invariants",
      "--store --out --verbose", 0,
