@@ -38,12 +38,12 @@ main(int argc, char **argv)
     Scenario sc;
     sc.config = polName;
     sc.retentionUs = sc.isSram() ? 0.0 : retUs;
+    MachineConfig cfg;
     std::string err;
-    if (!sc.check(err)) {
+    if (!sc.tryMachine(EnergyParams::calibrated(), cfg, err)) {
         std::fprintf(stderr, "%s\n", err.c_str());
         return 1;
     }
-    const MachineConfig cfg = sc.machine(EnergyParams::calibrated());
 
     SimParams sim;
     sim.refsPerCore = refs;

@@ -141,32 +141,9 @@ Scenario::key() const
     return k;
 }
 
-namespace
-{
-
-/** @p sc's machine, its config read as @p policy unless SRAM. */
-MachineConfig
-buildMachine(const Scenario &sc, const RefreshPolicy &policy,
-             const EnergyParams &energy)
-{
-    if (sc.isSram())
-        return MachineConfig::paperSram(sc.cores);
-    const Tick retention = usToTicks(sc.retentionUs);
-    MachineConfig cfg =
-        sc.hybrid ? MachineConfig::paperHybrid(policy, retention, sc.cores)
-                  : MachineConfig::paperEdram(policy, retention, sc.cores);
-    if (sc.ambientC != 0.0) {
-        cfg.thermal.enabled = true;
-        cfg.thermal.ambientC = sc.ambientC;
-    }
-    cfg.thermal.energy = energy;
-    return cfg;
-}
-
-} // namespace
-
 bool
-Scenario::check(std::string &err) const
+Scenario::tryMachine(const EnergyParams &energy, MachineConfig &out,
+                     std::string &err) const
 {
     RefreshPolicy policy;
     if (!isSram() && !parsePolicy(config, policy))
@@ -182,20 +159,30 @@ Scenario::check(std::string &err) const
               "fits the tick counter";
     else if (cores < 4 || cores > 64)
         err = "cores must be an integer in [4, 64]";
-    else
-        return buildMachine(*this, policy, EnergyParams::calibrated())
-            .check(err);
+    else if (isSram())
+        return (out = MachineConfig::paperSram(cores)).check(err);
+    else {
+        const Tick retention = usToTicks(retentionUs);
+        out = hybrid ? MachineConfig::paperHybrid(policy, retention, cores)
+                     : MachineConfig::paperEdram(policy, retention, cores);
+        if (ambientC != 0.0) {
+            out.thermal.enabled = true;
+            out.thermal.ambientC = ambientC;
+        }
+        out.thermal.energy = energy;
+        return out.check(err);
+    }
     return false;
 }
 
 MachineConfig
 Scenario::machine(const EnergyParams &energy) const
 {
-    RefreshPolicy policy;
-    if (!isSram() && !parsePolicy(config, policy))
-        panic("scenario config '%s' is no policy (check() first)",
-              config.c_str());
-    return buildMachine(*this, policy, energy);
+    MachineConfig cfg;
+    std::string err;
+    if (!tryMachine(energy, cfg, err))
+        panic("%s: %s", logLabel().c_str(), err.c_str());
+    return cfg;
 }
 
 const Workload &

@@ -113,15 +113,23 @@ struct Scenario
      * Whether this scenario can run: the config is SRAM or a policy
      * name parsePolicy() reads; an SRAM scenario has no retention and
      * no ambient; an eDRAM retention is positive and fits a Tick;
-     * cores lie in [4, 64]; and machine() passes MachineConfig::check.
-     * False with the reason in @p err otherwise.  The workload is
-     * resolveWorkload()'s to check.
+     * cores lie in [4, 64]; and its machine passes
+     * MachineConfig::check.  False with the reason in @p err otherwise.
+     * The workload is resolveWorkload()'s to check.
      */
-    bool check(std::string &err) const;
+    bool
+    check(std::string &err) const
+    {
+        MachineConfig unused;
+        return tryMachine(EnergyParams::calibrated(), unused, err);
+    }
 
-    /** Build the machine this scenario runs on (check() first).
-     *  @p energy feeds the thermal subsystem's leakage estimate (eDRAM
-     *  machines only). */
+    /** check(), handing back the machine in @p out (@p energy feeds
+     *  the thermal subsystem's leakage estimate). */
+    bool tryMachine(const EnergyParams &energy, MachineConfig &out,
+                    std::string &err) const;
+
+    /** tryMachine()'s machine; panics with its reason instead. */
     MachineConfig machine(const EnergyParams &energy) const;
 
     /** Resolve the workload pointer (by name when unset); fatal if the

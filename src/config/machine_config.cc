@@ -200,6 +200,7 @@ MachineConfig::check(std::string &err) const
                     "resolvable range [%g, %g] deg C",
                     thermal.ambientC, resp.minAmbientC(),
                     resp.maxAmbientC());
+    const double maxScale = thermal.enabled ? resp.maxFactor : 1.0;
     for (const CacheLevelSpec &l : levels) {
         // The sentry bit decays one tick per line of the unit before
         // the data cells (retention.hh) and needs retention of its own.
@@ -209,6 +210,14 @@ MachineConfig::check(std::string &err) const
                         "the %.3f us retention",
                         l.name, ticksToSeconds(margin) * 1e6,
                         ticksToSeconds(retention.cellRetention) * 1e6);
+        // Engines multiply it by the thermal scale and by a burst or
+        // group index; the product must fit half a Tick's range.
+        const double top = static_cast<double>(retention.cellRetention) *
+                           maxScale * l.geom.numLines();
+        if (l.refreshed() && top >= 0x1p63)
+            return fail("%s: the retention, scaled %gx over %u lines, "
+                        "overflows the tick counter",
+                        l.name, maxScale, l.geom.numLines());
         if (thermal.enabled && l.refreshed() &&
             l.policy.time == TimePolicy::SmartRefresh)
             return fail("%s: the SmartRefresh comparator does not model "

@@ -180,9 +180,10 @@ struct MachineConfig
     /** Whether the descriptor set is a machine the simulator can run:
      *  the four roles present exactly once, the LLC last and
      *  banked-shared, cores in [1, 64], banks tiling the torus, every
-     *  refreshed level's sentry margin shorter than the retention, and
-     *  a thermal machine at a resolvable ambient without SmartRefresh.
-     *  False with the reason in @p err otherwise. */
+     *  refreshed level's sentry margin shorter than the retention and
+     *  its retention small enough for the engines' tick arithmetic,
+     *  and a thermal machine at a resolvable ambient without
+     *  SmartRefresh.  False with the reason in @p err otherwise. */
     bool check(std::string &err) const;
 
     /** Panics with check()'s reason unless check() passes. */

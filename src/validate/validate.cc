@@ -155,16 +155,13 @@ runValidate(const ValidateOptions &opts, ValidateReport *reportOut)
         sc.config = k.config;
         sc.retentionUs = k.retentionUs;
         sc.ambientC = k.ambientC;
-        std::string why;
-        if (!parseMachineId(k.machine, sc.cores, sc.hybrid))
-            why = "unknown machine label '" + k.machine + "'";
-        else
-            sc.check(why);
-        if (!why.empty()) {
+        std::string why = "unknown machine label '" + k.machine + "'";
+        MachineConfig cfg;
+        if (!parseMachineId(k.machine, sc.cores, sc.hybrid) ||
+            !sc.tryMachine(EnergyParams::calibrated(), cfg, why)) {
             addV(key, "key-parse", why);
             continue;
         }
-        const MachineConfig cfg = sc.machine(EnergyParams::calibrated());
 
         // ---- field sanity ------------------------------------------
         const struct

@@ -605,20 +605,24 @@ TEST(ExperimentPlanTest, LoaderRejectsBrokenPlans)
 
     // Every scenario field goes through Scenario::check: a config that
     // is no canonical policy name, an eDRAM retention that is not
-    // positive, does not fit a Tick or leaves the sentry nothing, and
-    // an SRAM scenario with a retention are load errors, so nothing is
-    // simulated under a key no canonical scenario has.
-    auto scenarioOf = [](const char *config, const char *retentionUs) {
+    // positive, does not fit a Tick, overflows the engines' tick
+    // arithmetic or leaves the sentry nothing, and an SRAM scenario
+    // with a retention are load errors, so nothing is simulated under
+    // a key no canonical scenario has.
+    auto scenarioOf = [](const char *config, const char *retentionUs,
+                         const char *ambientC) {
         return std::string("{\"plan\": \"x\", \"version\": 1, "
                            "\"scenarios\": [{\"app\": \"fft\", "
                            "\"config\": \"") +
                config + "\", \"retentionUs\": " + retentionUs +
-               ", \"ambientC\": 0, \"cores\": 16, \"refs\": 100, "
+               ", \"ambientC\": " + ambientC +
+               ", \"cores\": 16, \"refs\": 100, "
                "\"seed\": 1, \"baseline\": -1}]}";
     };
     const struct
     {
         const char *config, *retentionUs, *message;
+        const char *ambientC = "0";
     } rejected[] = {
         {"Q.all", "50", "unknown config 'Q.all'"},
         {"p.all", "50", "unknown config 'p.all'"},
@@ -629,17 +633,24 @@ TEST(ExperimentPlanTest, LoaderRejectsBrokenPlans)
         {"P.all", "1e300", "positive retention"},
         {"P.all", "-5", "positive retention"},
         {"P.all", "16", "sentry margin"},
+        {"P.all", "1e15", "overflows the tick counter"},
+        {"P.all", "1e15", "overflows the tick counter", "35"},
         {"SRAM", "50", "SRAM scenario takes no retention"},
     };
     for (const auto &r : rejected) {
-        const std::string text = scenarioOf(r.config, r.retentionUs);
+        const std::string text =
+            scenarioOf(r.config, r.retentionUs, r.ambientC);
         EXPECT_FALSE(ExperimentPlan::tryFromJson(text, plan, err)) << text;
         EXPECT_NE(err.find(r.message), std::string::npos) << err;
     }
-    EXPECT_EXIT(ExperimentPlan::fromJson(scenarioOf("Q.all", "50")),
+    EXPECT_EXIT(ExperimentPlan::fromJson(scenarioOf("Q.all", "50", "0")),
                 ::testing::ExitedWithCode(1), "unknown config 'Q.all'");
+    EXPECT_TRUE(ExperimentPlan::tryFromJson(
+        scenarioOf("P.WB(4,4)", "50", "0"), plan, err))
+        << err;
     EXPECT_TRUE(
-        ExperimentPlan::tryFromJson(scenarioOf("P.WB(4,4)", "50"), plan, err))
+        ExperimentPlan::tryFromJson(scenarioOf("P.all", "1e10", "35"), plan,
+                                    err))
         << err;
     // A core count past 32 bits is an integer range error, not a
     // truncation to 16 cores.

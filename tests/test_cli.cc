@@ -283,6 +283,11 @@ TEST_F(Cli, RejectedInvocationsExitTwo)
              "unknown config 'P.WB(4,4'"},
             {{"run", "--retention", "16", "--refs", "200"},
              "sentry margin"},
+            {{"run", "--retention", "1e15", "--ambient", "35", "--refs",
+              "200"},
+             "overflows the tick counter"},
+            {{"thermal-study", "--retention", "1e15", "--ambients", "35"},
+             "overflows the tick counter"},
             {{"trace-run", "--in", "missing.trc", "--retention", "16"},
              "sentry margin"},
             {{"thermal-study", "--retention", "16", "--refs", "200"},

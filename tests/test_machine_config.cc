@@ -179,6 +179,28 @@ TEST(MachineConfig, ValidateRejectsBrokenDescriptorSets)
         MachineConfig::paperEdramThermal(pall, usToTicks(50.0), 135.0)
             .check(err))
         << err;
+
+    // The engines stagger an LLC bank's 16,384 = 2^14 lines across a
+    // retention a thermal machine may scale 32x: retention x 2^19 must
+    // stay below 2^63, or 2^49 without the thermal scale.
+    const Tick thermalCeiling = Tick{1} << 44;
+    EXPECT_DEATH(
+        MachineConfig::paperEdramThermal(pall, thermalCeiling, 35.0)
+            .validate(),
+        "l3: .* overflows the tick counter");
+    EXPECT_TRUE(
+        MachineConfig::paperEdramThermal(pall, thermalCeiling - 1, 35.0)
+            .check(err))
+        << err;
+    EXPECT_TRUE(MachineConfig::paperEdram(pall, thermalCeiling).check(err))
+        << err;
+    EXPECT_FALSE(
+        MachineConfig::paperEdram(pall, Tick{1} << 49).check(err));
+    EXPECT_NE(err.find("overflows the tick counter"), std::string::npos)
+        << err;
+    EXPECT_TRUE(
+        MachineConfig::paperEdram(pall, (Tick{1} << 49) - 1).check(err))
+        << err;
 }
 
 TEST(MachineSmoke, BinningMeasuresVisibilityOnTheSramTwin)

@@ -464,18 +464,6 @@ machinesFor(const Args &a)
     return {MachineAxis{static_cast<std::uint32_t>(a.cores), a.hybrid}};
 }
 
-/** @p plan, once every scenario of it passes Scenario::check; a usage
- *  error otherwise. */
-ExperimentPlan
-runnable(ExperimentPlan plan)
-{
-    std::string err;
-    for (const Scenario &sc : plan.scenarios)
-        if (!sc.check(err))
-            usageError("%s", err.c_str());
-    return plan;
-}
-
 /** The sweep/figures grid for the given flags (the paper's Table 5.4
  *  grid, possibly on a scaled or hybrid machine). */
 ExperimentPlan
@@ -498,7 +486,7 @@ sweepPlanFor(const Args &a, bool announceMachine)
         std::printf("machine: %u cores (%s)\n", spec.machines[0].cores,
                     a.hybrid ? "hybrid SRAM L1/L2 + eDRAM LLC"
                              : "uniform tech");
-    return runnable(ExperimentPlan::fromSweepSpec(std::move(spec)));
+    return ExperimentPlan::fromSweepSpec(std::move(spec));
 }
 
 /** The ambient-temperature study plan for the given flags; null app
@@ -509,9 +497,16 @@ thermalPlanFor(const Args &a)
     SimParams sim;
     sim.refsPerCore = a.refs;
     sim.seed = a.seed;
-    return runnable(ExperimentPlan::thermalStudy(
+    ExperimentPlan plan = ExperimentPlan::thermalStudy(
         a.app(), a.retentionUs, parseAmbients(a.ambients), sim,
-        machinesFor(a)));
+        machinesFor(a));
+    // --retention and --ambients are the user's: a scenario that
+    // cannot run is a usage error.
+    std::string err;
+    for (const Scenario &sc : plan.scenarios)
+        if (!sc.check(err))
+            usageError("%s", err.c_str());
+    return plan;
 }
 
 // ---------------------------------------------------------------------
@@ -549,10 +544,11 @@ machineFor(const Args &a)
         sc.ambientC = a.ambientC;
         sc.hybrid = a.hybrid;
     }
+    MachineConfig cfg;
     std::string err;
-    if (!sc.check(err))
+    if (!sc.tryMachine(EnergyParams::calibrated(), cfg, err))
         usageError("%s", err.c_str());
-    return sc.machine(EnergyParams::calibrated());
+    return cfg;
 }
 
 void
