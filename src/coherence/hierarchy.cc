@@ -9,6 +9,18 @@
 namespace refrint
 {
 
+namespace
+{
+
+/** Index of @p r in MachineConfig::levels and Hierarchy::levels_. */
+constexpr std::size_t
+idx(LevelRole r)
+{
+    return static_cast<std::size_t>(r);
+}
+
+} // namespace
+
 /**
  * Adapter binding a refresh engine to one cache unit within the
  * hierarchy.  Heavy actions (write-back, invalidation) route back into
@@ -109,14 +121,14 @@ Hierarchy::Hierarchy(const MachineConfig &cfg, EventQueue &eq,
       eq_(eq),
       arena_(arena),
       pool_(pool),
-      net_(cfg.torusDim, cfg.hopLatency, cfg.dataSerialization, netStats_),
-      dram_(cfg.dramLatency, cfg.dramMinGap, dramStats_)
+      net_(cfg.torusDim(), kHopLatency, kDataSerialization, netStats_),
+      dram_(kDramLatency, kDramMinGap, dramStats_)
 {
     cfg_.validate();
     llcGeom_ = cfg_.llc().geom;
     refreshAtLlc_ = cfg_.llc().refreshed();
     bankShift_ = llcGeom_.lineBits();
-    bankMask_ = isPowerOfTwo(cfg_.numBanks) ? cfg_.numBanks - 1 : 0;
+    bankMask_ = isPowerOfTwo(cfg_.numBanks()) ? cfg_.numBanks() - 1 : 0;
 
     buildUnits();
     if (cfg_.anyEdram())
@@ -129,138 +141,101 @@ Hierarchy::Hierarchy(const MachineConfig &cfg, EventQueue &eq,
 
 Hierarchy::~Hierarchy() = default;
 
-const Hierarchy::Level &
-Hierarchy::levelOf(LevelRole r) const
+template <class Fn>
+void
+Hierarchy::forEachUnit(Fn &&fn)
 {
-    for (const Level &lv : levels_)
-        if (lv.spec->role == r)
-            return lv;
-    panic("hierarchy has no %s level", levelRoleName(r));
+    // Core-major across the private levels (one tile's caches are
+    // adjacent), then the LLC per bank.
+    for (CoreId c = 0; c < cfg_.numCores; ++c)
+        for (std::size_t r = 0; r < idx(LevelRole::LLC); ++r)
+            fn(levels_[r], c);
+    for (std::uint32_t b = 0; b < cfg_.numBanks(); ++b)
+        fn(levels_[idx(LevelRole::LLC)], b);
 }
 
 void
 Hierarchy::buildUnits()
 {
-    // One Level per descriptor, in descriptor order; refresh stats are
-    // shared per role class (the paper reports three refresh levels).
-    for (const CacheLevelSpec &spec : cfg_.levels) {
-        Level lv;
-        lv.spec = &spec;
-        lv.stats = std::make_unique<StatGroup>(spec.name);
-        switch (TargetAdapter::of(spec.role)) {
-          case TargetAdapter::Level::L1:
-            lv.refreshStats = &refreshL1Stats_;
-            break;
-          case TargetAdapter::Level::L2:
-            lv.refreshStats = &refreshL2Stats_;
-            break;
-          case TargetAdapter::Level::L3:
-            lv.refreshStats = &refreshL3Stats_;
-            break;
-        }
-        levels_.push_back(std::move(lv));
+    // Refresh stats are shared per role class (the paper reports three
+    // refresh levels).
+    StatGroup *const refreshStats[kNumLevels] = {
+        &refreshL1Stats_, &refreshL1Stats_, &refreshL2Stats_,
+        &refreshL3Stats_};
+    for (std::size_t r = 0; r < kNumLevels; ++r) {
+        Level &lv = levels_[r];
+        lv.role = static_cast<LevelRole>(r);
+        lv.name = kLevelNames[r];
+        lv.spec = &cfg_.levels[r];
+        lv.stats = std::make_unique<StatGroup>(lv.name);
+        lv.refreshStats = refreshStats[r];
     }
 
-    // Instantiate units: core-major across the private levels (one
-    // tile's caches are adjacent), then the shared levels per bank.
-    std::vector<Level *> order;
-    for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        for (Level &lv : levels_) {
-            if (lv.spec->sharing == Sharing::Private)
-                order.push_back(&lv);
-        }
-    }
-    for (Level &lv : levels_) {
-        if (lv.spec->sharing != Sharing::BankedShared)
-            continue;
-        for (std::uint32_t b = 0; b < cfg_.numBanks; ++b)
-            order.push_back(&lv);
-    }
     // A pooled machine first frees the held storage none of its arrays
     // will take, so a worker never holds two machines' arrays.
     if (pool_ != nullptr) {
         std::vector<ArrayShape> shapes;
-        shapes.reserve(order.size());
-        for (const Level *lv : order)
-            shapes.push_back(ArrayShape::of(lv->spec->geom));
+        forEachUnit([&](Level &lv, std::uint32_t) {
+            shapes.push_back(ArrayShape::of(lv.spec->geom));
+        });
         pool_->keepOnly(std::move(shapes));
     }
-    for (Level *lv : order) {
-        lv->units.push_back(std::make_unique<CacheUnit>(
-            lv->spec->name, lv->spec->geom, *lv->stats, arena_, pool_));
-    }
+    forEachUnit([&](Level &lv, std::uint32_t) {
+        lv.units.push_back(std::make_unique<CacheUnit>(
+            lv.name, lv.spec->geom, *lv.stats, arena_, pool_));
+    });
 
-    // Resolve the protocol's role handles.
-    il1L_ = &levelOf(LevelRole::IL1);
-    dl1L_ = &levelOf(LevelRole::DL1);
-    l2L_ = &levelOf(LevelRole::L2);
-    llcL_ = &levelOf(LevelRole::LLC);
-    auto view = [](const Level &lv) {
+    // The protocol's role views.
+    auto view = [&](LevelRole r) {
+        const Level &lv = levels_[idx(r)];
         std::vector<CacheUnit *> v;
         v.reserve(lv.units.size());
         for (const auto &u : lv.units)
             v.push_back(u.get());
         return v;
     };
-    il1s_ = view(*il1L_);
-    dl1s_ = view(*dl1L_);
-    l2s_ = view(*l2L_);
-    l3s_ = view(*llcL_);
+    il1s_ = view(LevelRole::IL1);
+    dl1s_ = view(LevelRole::DL1);
+    l2s_ = view(LevelRole::L2);
+    l3s_ = view(LevelRole::LLC);
 }
 
 void
 Hierarchy::buildRefreshEngines()
 {
-    auto build = [&](Level &lv, CacheUnit &u, std::uint32_t id) {
+    // Engine order is unit order: engine start order determines
+    // same-tick event FIFO order, so this order is part of the
+    // machine's definition.
+    forEachUnit([&](Level &lv, std::uint32_t i) {
+        if (!lv.spec->refreshed())
+            return;
+        CacheUnit &u = *lv.units[i];
         targets_.push_back(std::make_unique<TargetAdapter>(
-            *this, u, TargetAdapter::of(lv.spec->role), id, lv.spec->name));
+            *this, u, TargetAdapter::of(lv.role), i, lv.name));
         engines_.push_back(makeRefreshEngine(*targets_.back(),
                                              lv.spec->policy,
                                              cfg_.retention,
                                              lv.spec->engine, eq_,
                                              *lv.refreshStats, arena_));
         u.engine = engines_.back().get();
-    };
-
-    // Engine order mirrors unit order (core-major private levels, then
-    // the shared banks): engine start order determines same-tick event
-    // FIFO order, so this order is part of the machine's definition.
-    for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        for (Level &lv : levels_) {
-            if (lv.spec->sharing != Sharing::Private ||
-                !lv.spec->refreshed())
-                continue;
-            build(lv, *lv.units[c], c);
-        }
-    }
-    for (Level &lv : levels_) {
-        if (lv.spec->sharing != Sharing::BankedShared ||
-            !lv.spec->refreshed())
-            continue;
-        for (std::uint32_t b = 0; b < cfg_.numBanks; ++b)
-            build(lv, *lv.units[b], b);
-    }
+    });
 }
 
 void
 Hierarchy::buildDecayEngines()
 {
-    auto build = [&](Level &lv, CacheUnit &u, std::uint32_t id) {
-        targets_.push_back(std::make_unique<TargetAdapter>(
-            *this, u, TargetAdapter::of(lv.spec->role), id, lv.spec->name));
-        engines_.push_back(std::make_unique<DecayEngine>(
-            *targets_.back(), cfg_.decay, eq_, *lv.refreshStats));
-        u.engine = engines_.back().get();
-    };
-
-    for (Level &lv : levels_) {
-        const bool wanted =
-            (lv.spec->role == LevelRole::L2 && cfg_.decay.atL2) ||
-            (lv.spec->role == LevelRole::LLC && cfg_.decay.atL3);
-        if (!wanted)
+    for (const LevelRole r : {LevelRole::L2, LevelRole::LLC}) {
+        if (!(r == LevelRole::L2 ? cfg_.decay.atL2 : cfg_.decay.atL3))
             continue;
-        for (std::uint32_t i = 0; i < lv.units.size(); ++i)
-            build(lv, *lv.units[i], i);
+        Level &lv = levels_[idx(r)];
+        for (std::uint32_t i = 0; i < lv.units.size(); ++i) {
+            CacheUnit &u = *lv.units[i];
+            targets_.push_back(std::make_unique<TargetAdapter>(
+                *this, u, TargetAdapter::of(r), i, lv.name));
+            engines_.push_back(std::make_unique<DecayEngine>(
+                *targets_.back(), cfg_.decay, eq_, *lv.refreshStats));
+            u.engine = engines_.back().get();
+        }
     }
 }
 
@@ -293,26 +268,14 @@ Hierarchy::buildThermal()
             break;
         }
     };
-    // Node order mirrors unit order (see buildRefreshEngines).
-    for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        for (Level &lv : levels_) {
-            if (lv.spec->sharing != Sharing::Private ||
-                !lv.spec->refreshed())
-                continue;
-            double leakW = 0, accessJ = 0;
-            coeffs(lv.spec->role, leakW, accessJ);
-            thermal_->addUnit(*lv.units[c], leakW * lr, accessJ);
-        }
-    }
-    for (Level &lv : levels_) {
-        if (lv.spec->sharing != Sharing::BankedShared ||
-            !lv.spec->refreshed())
-            continue;
+    // Node order is unit order (see buildRefreshEngines).
+    forEachUnit([&](Level &lv, std::uint32_t i) {
+        if (!lv.spec->refreshed())
+            return;
         double leakW = 0, accessJ = 0;
-        coeffs(lv.spec->role, leakW, accessJ);
-        for (std::uint32_t b = 0; b < cfg_.numBanks; ++b)
-            thermal_->addUnit(*lv.units[b], leakW * lr, accessJ);
-    }
+        coeffs(lv.role, leakW, accessJ);
+        thermal_->addUnit(*lv.units[i], leakW * lr, accessJ);
+    });
 }
 
 void
@@ -776,7 +739,7 @@ Hierarchy::checkInvariants(Tick now) const
                     "dirty flag out of sync with MESI state");
         });
     }
-    for (std::uint32_t b = 0; b < cfg_.numBanks; ++b) {
+    for (std::uint32_t b = 0; b < cfg_.numBanks(); ++b) {
         self.l3s_[b]->array.forEachLine([&](std::uint32_t, CacheLine &l) {
             if (!l.valid()) {
                 panicIf(l.sharers != 0 || l.owner >= 0,
@@ -818,10 +781,10 @@ Hierarchy::counts() const
         const Accum *a = g.findAccum(k);
         return a == nullptr ? 0.0 : a->value();
     };
-    const StatGroup &il1Stats = *il1L_->stats;
-    const StatGroup &dl1Stats = *dl1L_->stats;
-    const StatGroup &l2Stats = *l2L_->stats;
-    const StatGroup &l3Stats = *llcL_->stats;
+    const StatGroup &il1Stats = *levels_[idx(LevelRole::IL1)].stats;
+    const StatGroup &dl1Stats = *levels_[idx(LevelRole::DL1)].stats;
+    const StatGroup &l2Stats = *levels_[idx(LevelRole::L2)].stats;
+    const StatGroup &l3Stats = *levels_[idx(LevelRole::LLC)].stats;
     HierarchyCounts n;
     n.l1Reads = get(il1Stats, "reads") + get(dl1Stats, "reads");
     n.l1Writes = get(il1Stats, "writes") + get(dl1Stats, "writes");

@@ -5,13 +5,12 @@
  * directory MESI protocol, a square-torus interconnect and off-chip
  * DRAM.
  *
- * The machine is built from a MachineConfig's level descriptors: the
- * constructor iterates cfg.levels, instantiating one CacheUnit per
- * core for private levels and one per bank for the shared LLC, and
- * wiring refresh engines and thermal nodes per descriptor.  The MESI
- * walk itself resolves role handles (IL1/DL1/L2/LLC) out of the
- * descriptor set once at construction, so the hot path pays nothing
- * for the generality.
+ * The machine is built from a MachineConfig's four levels: one
+ * CacheUnit per core for IL1, DL1 and L2 and one per bank for the
+ * shared LLC, with a refresh engine and a thermal node per eDRAM unit.
+ * Units, engines and nodes are built in one order, per core (IL1,
+ * DL1, L2) and then per LLC bank; engine start order fixes same-tick
+ * event FIFO order, so this order is part of the machine.
  *
  * The simulator is state-accurate and timing-approximate: a memory
  * reference walks the hierarchy synchronously, updating all cache and
@@ -26,6 +25,7 @@
 #ifndef REFRINT_COHERENCE_HIERARCHY_HH
 #define REFRINT_COHERENCE_HIERARCHY_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -121,7 +121,7 @@ class Hierarchy
     CacheUnit &l3Bank(std::uint32_t b) { return *l3s_[b]; }
     Dram &dram() { return dram_; }
     TorusNetwork &network() { return net_; }
-    std::uint32_t numBanks() const { return cfg_.numBanks; }
+    std::uint32_t numBanks() const { return cfg_.numBanks(); }
 
     /** Thermal driver, or null when the subsystem is disabled. */
     const ThermalDriver *thermal() const { return thermal_.get(); }
@@ -136,7 +136,7 @@ class Hierarchy
     {
         const Addr idx = a >> bankShift_;
         return static_cast<std::uint32_t>(
-            bankMask_ != 0 ? idx & bankMask_ : idx % cfg_.numBanks);
+            bankMask_ != 0 ? idx & bankMask_ : idx % cfg_.numBanks());
     }
 
     // --- refresh actions, shared with the RefreshTarget adapters ---
@@ -158,11 +158,13 @@ class Hierarchy
                                 std::uint32_t idx, Tick now);
 
   private:
-    /** One constructed level: the descriptor it was built from, its
-     *  per-level demand StatGroup and its units (per core for private
-     *  levels, per bank for the shared LLC). */
+    /** One constructed level: its role and name, the spec it was built
+     *  from, its demand StatGroup and its units (per core for the
+     *  private levels, per bank for the LLC). */
     struct Level
     {
+        LevelRole role;
+        const char *name;
         const CacheLevelSpec *spec;
         std::unique_ptr<StatGroup> stats;
         StatGroup *refreshStats; ///< shared per role class (L1/L2/L3)
@@ -176,12 +178,14 @@ class Hierarchy
         return (l.sharers >> c) & 1u;
     }
 
+    /** Call @p fn(level, unit index) for every unit in construction
+     *  order: per core IL1, DL1 and L2, then the LLC banks. */
+    template <class Fn> void forEachUnit(Fn &&fn);
+
     void buildUnits();
     void buildRefreshEngines();
     void buildDecayEngines();
     void buildThermal();
-
-    const Level &levelOf(LevelRole r) const;
 
     /** LLC miss: evict a victim, fetch from DRAM, install.  Advances
      *  @p t past the DRAM access. */
@@ -236,13 +240,11 @@ class Hierarchy
         refreshL1Stats_{"refresh.l1"}, refreshL2Stats_{"refresh.l2"},
         refreshL3Stats_{"refresh.l3"}, thermalStats_{"thermal"};
 
-    /** Constructed levels, in descriptor order. */
-    std::vector<Level> levels_;
+    /** Constructed levels, indexed by LevelRole. */
+    std::array<Level, kNumLevels> levels_;
 
     /** Non-owning role views into levels_ for the protocol hot path. */
     std::vector<CacheUnit *> il1s_, dl1s_, l2s_, l3s_;
-    const Level *il1L_ = nullptr, *dl1L_ = nullptr, *l2L_ = nullptr,
-                *llcL_ = nullptr;
 
     TorusNetwork net_;
     Dram dram_;

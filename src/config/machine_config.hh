@@ -1,41 +1,34 @@
 /**
  * @file
- * Level-descriptor-driven machine configuration.
+ * The simulated CMP as data: the paper's Table 5.1 machine shape with
+ * the two things this simulator varies on it.
  *
- * A MachineConfig describes the simulated CMP as data rather than as a
- * fixed struct shape: a vector of per-level CacheLevelSpec descriptors
- * (geometry, cell technology, refresh policy, engine geometry, private
- * vs. banked-shared placement) plus a scalable square-torus
- * interconnect whose dimension is derived from the core/bank count.
- * The hierarchy, refresh engines, thermal nodes and energy model are
- * all built by iterating the descriptor vector, so changing the
- * machine means changing the descriptors — not the simulator.
+ * The shape is fixed.  Each core has a private IL1, DL1 and L2 over a
+ * banked shared inclusive LLC that holds the full-map directory, one
+ * bank per tile of a square torus.  MachineConfig holds these four
+ * levels by role (LevelRole indexes MachineConfig::levels), derives
+ * the bank count and the torus side from the core count, and keeps
+ * the interconnect and DRAM timings as constants.
  *
- * Two degrees of freedom beyond the paper's Table 5.1 machine are
- * first-class:
+ * What varies:
  *
- *  - core count (4..64; the torus and L3 banking scale with it, and
- *    the directory is a 64-bit sharer mask), and
- *  - per-level cell technology, enabling hybrid machines such as the
- *    SRAM-L1/L2 + eDRAM-L3 deployment the paper calls realistic (§8).
+ *  - the core count (4..64; the torus and LLC banking scale with it,
+ *    and the directory is a 64-bit sharer mask), and
+ *  - each level's cell technology, geometry, refresh policy and
+ *    engine, enabling hybrid machines such as the SRAM-L1/L2 +
+ *    eDRAM-L3 deployment the paper calls realistic (§8).
  *
  * The default-constructed factories reproduce the paper's evaluated
  * 16-core machine bit for bit (see DESIGN.md "Machine configuration").
- *
- * The coherence protocol itself remains a three-level inclusive MESI
- * hierarchy: validate() requires exactly the four roles IL1/DL1/L2/LLC
- * with the LLC as the single banked-shared level.  What the descriptors
- * free is everything the protocol does not pin down: geometries, cell
- * technologies, refresh policies/engines per level, and the machine
- * scale.
  */
 
 #ifndef REFRINT_CONFIG_MACHINE_CONFIG_HH
 #define REFRINT_CONFIG_MACHINE_CONFIG_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "edram/refresh_engine.hh"
@@ -57,17 +50,10 @@ enum class CellTech : std::uint8_t
 
 const char *cellTechName(CellTech t);
 
-/** Placement of one cache level on the tiled machine. */
-enum class Sharing : std::uint8_t
-{
-    Private = 0,  ///< one unit per core
-    BankedShared, ///< one unit per tile/bank, shared by all cores
-};
-
 /**
- * Protocol role of a level.  The MESI walk needs to know which units
- * serve fetches, which hold the directory, etc.; everything else about
- * a level is free-form descriptor data.
+ * Protocol role of a level, and its index in MachineConfig::levels.
+ * The three private levels come first, in the order a tile builds
+ * them; the LLC is last.
  */
 enum class LevelRole : std::uint8_t
 {
@@ -77,17 +63,29 @@ enum class LevelRole : std::uint8_t
     LLC,     ///< banked shared last-level cache with the directory
 };
 
-const char *levelRoleName(LevelRole r);
+constexpr std::size_t kNumLevels = 4;
+
+/** Stat-group name of each level, indexed by LevelRole. */
+constexpr const char *kLevelNames[kNumLevels] = {"il1", "dl1", "l2", "l3"};
+
+/** L1 arrays per core (IL1 and DL1): the energy models' L1 class. */
+constexpr std::uint32_t kL1sPerCore = 2;
+
+/** Fixed Table 5.1 timings, in ticks (1 tick = 1 ns). */
+constexpr Tick kHopLatency = 2;        ///< per torus router+link traversal
+constexpr Tick kDataSerialization = 4; ///< extra cycles for a 64B payload
+constexpr Tick kDramLatency = 40;      ///< Table 5.1: 40 ns
+constexpr Tick kDramMinGap = 4;        ///< channel occupancy per access
+
+/** Smallest torus dimension whose k x k tiling holds @p tiles. */
+std::uint32_t torusDimFor(std::uint32_t tiles);
 
 /** One level of the hierarchy, as data. */
 struct CacheLevelSpec
 {
-    const char *name = "";               ///< stat-group label
-    LevelRole role = LevelRole::LLC;
-    Sharing sharing = Sharing::Private;
     CellTech tech = CellTech::Edram;
-    CacheGeometry geom;                  ///< per unit (per bank if shared)
-    EngineGeometry engine;               ///< refresh-engine microarch (§5)
+    CacheGeometry geom;    ///< per unit (per bank for the LLC)
+    EngineGeometry engine; ///< refresh-engine microarch (§5)
 
     /** Refresh policy effective at this level when tech == Edram.  The
      *  sweep varies the LLC's; private levels run the same timing
@@ -99,21 +97,12 @@ struct CacheLevelSpec
 
 struct MachineConfig
 {
+    /** Cores, one tile each: the core's private levels and one LLC
+     *  bank. */
     std::uint32_t numCores = 16;
-    std::uint32_t numBanks = 16;
-    std::uint32_t torusDim = 4;
 
-    /**
-     * The hierarchy, outermost-private first: IL1, DL1, L2, LLC for
-     * the paper machine.  Build loops iterate this vector; the
-     * protocol resolves its role handles out of it at construction.
-     */
-    std::vector<CacheLevelSpec> levels;
-
-    Tick hopLatency = 2;        ///< per torus router+link traversal
-    Tick dataSerialization = 4; ///< extra cycles for a 64B payload
-    Tick dramLatency = 40;      ///< Table 5.1: 40 ns
-    Tick dramMinGap = 4;        ///< channel occupancy per access
+    /** The four levels, indexed by LevelRole. */
+    std::array<CacheLevelSpec, kNumLevels> levels;
 
     RetentionParams retention{usToTicks(50.0), kTickNever, {}, {}};
 
@@ -133,19 +122,20 @@ struct MachineConfig
      */
     std::string machineId;
 
-    // ---- level accessors (roles resolved from the vector) ----
+    CacheLevelSpec &il1() { return levels[0]; }
+    CacheLevelSpec &dl1() { return levels[1]; }
+    CacheLevelSpec &l2() { return levels[2]; }
+    CacheLevelSpec &llc() { return levels[3]; }
+    const CacheLevelSpec &il1() const { return levels[0]; }
+    const CacheLevelSpec &dl1() const { return levels[1]; }
+    const CacheLevelSpec &l2() const { return levels[2]; }
+    const CacheLevelSpec &llc() const { return levels[3]; }
 
-    CacheLevelSpec &level(LevelRole r);
-    const CacheLevelSpec &level(LevelRole r) const;
+    /** LLC banks: one per tile, as in Table 5.1. */
+    std::uint32_t numBanks() const { return numCores; }
 
-    CacheLevelSpec &il1() { return level(LevelRole::IL1); }
-    CacheLevelSpec &dl1() { return level(LevelRole::DL1); }
-    CacheLevelSpec &l2() { return level(LevelRole::L2); }
-    CacheLevelSpec &llc() { return level(LevelRole::LLC); }
-    const CacheLevelSpec &il1() const { return level(LevelRole::IL1); }
-    const CacheLevelSpec &dl1() const { return level(LevelRole::DL1); }
-    const CacheLevelSpec &l2() const { return level(LevelRole::L2); }
-    const CacheLevelSpec &llc() const { return level(LevelRole::LLC); }
+    /** Side of the square torus that tiles the cores. */
+    std::uint32_t torusDim() const { return torusDimFor(numCores); }
 
     /** Total LLC capacity (all banks), bytes. */
     std::uint64_t llcBytes() const;
@@ -177,13 +167,13 @@ struct MachineConfig
     /** Set every level's cell technology. */
     void setTech(CellTech t);
 
-    /** Whether the descriptor set is a machine the simulator can run:
-     *  the four roles present exactly once, the LLC last and
-     *  banked-shared, cores in [1, 64], banks tiling the torus, every
-     *  refreshed level's sentry margin shorter than the retention and
-     *  its retention small enough for the engines' tick arithmetic,
-     *  and a thermal machine at a resolvable ambient without
-     *  SmartRefresh.  False with the reason in @p err otherwise. */
+    /** Whether this is a machine the simulator can run: cores in
+     *  [1, 64], valid geometries, the two L1s of one cell technology,
+     *  every refreshed level's sentry margin shorter than the
+     *  retention and its retention small enough for the engines' tick
+     *  arithmetic, and a thermal machine at a resolvable ambient
+     *  without SmartRefresh.  False with the reason in @p err
+     *  otherwise. */
     bool check(std::string &err) const;
 
     /** Panics with check()'s reason unless check() passes. */
@@ -231,9 +221,6 @@ struct MachineConfig
                                      Tick retention,
                                      std::uint32_t cores = 16);
 };
-
-/** Smallest torus dimension whose k x k tiling holds @p tiles. */
-std::uint32_t torusDimFor(std::uint32_t tiles);
 
 /**
  * The cache-key machine label for a paper machine scaled to @p cores

@@ -44,28 +44,22 @@ computeEnergy(const EnergyParams &p, const HierarchyCounts &n,
         return std::min(1.0, offLineTicks / denom);
     };
 
-    // Instance counts and line totals come from the level descriptors,
-    // not from a hardwired Table 5.1 shape: the L1 class has one unit
-    // per descriptor per core (IL1 + DL1 = 2 on the paper machine).
-    double l1UnitsPerCore = 0.0;
-    for (const CacheLevelSpec &l : cfg.levels) {
-        if (l.role == LevelRole::IL1 || l.role == LevelRole::DL1)
-            l1UnitsPerCore += 1.0;
-    }
+    // Instance counts and line totals come from the machine's shape:
+    // kL1sPerCore L1 arrays and one L2 per core, one LLC bank per tile.
     const CacheLevelSpec &l1Spec = cfg.il1();
     const CacheLevelSpec &l2Spec = cfg.l2();
     const CacheLevelSpec &llcSpec = cfg.llc();
     const std::uint64_t l2Lines =
         std::uint64_t{l2Spec.geom.numLines()} * cfg.numCores;
     const std::uint64_t l3Lines =
-        std::uint64_t{llcSpec.geom.numLines()} * cfg.numBanks;
+        std::uint64_t{llcSpec.geom.numLines()} * cfg.numBanks();
 
-    const double l1Leak = p.leakL1 * l1UnitsPerCore * cfg.numCores *
+    const double l1Leak = p.leakL1 * kL1sPerCore * cfg.numCores *
                           ratio(l1Spec.tech) * sec;
     const double l2Leak = p.leakL2 * cfg.numCores * ratio(l2Spec.tech) *
                           sec *
                           (1.0 - offFraction(n.l2OffLineTicks, l2Lines));
-    const double l3Leak = p.leakL3Bank * cfg.numBanks *
+    const double l3Leak = p.leakL3Bank * cfg.numBanks() *
                           ratio(llcSpec.tech) * sec *
                           (1.0 - offFraction(n.l3OffLineTicks, l3Lines));
 
@@ -99,11 +93,6 @@ reconstructEnergyMatrix(EnergyBreakdown &e, const EnergyParams &p,
         return t == CellTech::Edram ? p.edramLeakRatio : 1.0;
     };
 
-    double l1UnitsPerCore = 0.0;
-    for (const CacheLevelSpec &l : cfg.levels) {
-        if (l.role == LevelRole::IL1 || l.role == LevelRole::DL1)
-            l1UnitsPerCore += 1.0;
-    }
     const CacheLevelSpec &l1Spec = cfg.il1();
     const CacheLevelSpec &l2Spec = cfg.l2();
     const CacheLevelSpec &llcSpec = cfg.llc();
@@ -111,10 +100,10 @@ reconstructEnergyMatrix(EnergyBreakdown &e, const EnergyParams &p,
     // Cache rows cannot describe decay machines (Scenario has no decay
     // axis), so the off-line leakage discount is zero and these match
     // computeEnergy bit-for-bit on any reloadable row.
-    e.l1Leak = p.leakL1 * l1UnitsPerCore * cfg.numCores *
+    e.l1Leak = p.leakL1 * kL1sPerCore * cfg.numCores *
                ratio(l1Spec.tech) * sec;
     e.l2Leak = p.leakL2 * cfg.numCores * ratio(l2Spec.tech) * sec;
-    e.l3Leak = p.leakL3Bank * cfg.numBanks * ratio(llcSpec.tech) * sec;
+    e.l3Leak = p.leakL3Bank * cfg.numBanks() * ratio(llcSpec.tech) * sec;
 
     // LLC refresh is exact: the row carries the refresh count and
     // Table 5.2 charges each refresh one line access.
@@ -129,7 +118,7 @@ reconstructEnergyMatrix(EnergyBreakdown &e, const EnergyParams &p,
     // Valid data policy, so this over-estimates their refresh slightly
     // and the clamp keeps the split inside the remainder).
     const double l3Lines =
-        static_cast<double>(llcSpec.geom.numLines()) * cfg.numBanks;
+        static_cast<double>(llcSpec.geom.numLines()) * cfg.numBanks();
     const double refPerLine = l3Lines > 0 ? l3Refreshes / l3Lines : 0.0;
     auto split = [&](double total, double leak, CellTech tech,
                      double lines, double eAccess, double &dyn,
@@ -141,7 +130,7 @@ reconstructEnergyMatrix(EnergyBreakdown &e, const EnergyParams &p,
         dyn = rem - ref;
     };
     const double l1Lines = static_cast<double>(l1Spec.geom.numLines()) *
-                           l1UnitsPerCore * cfg.numCores;
+                           kL1sPerCore * cfg.numCores;
     const double l2Lines =
         static_cast<double>(l2Spec.geom.numLines()) * cfg.numCores;
     split(e.l1, e.l1Leak, l1Spec.tech, l1Lines, p.eL1Access, e.l1Dyn,

@@ -49,10 +49,8 @@ measureBinning(const Workload &app, const BinningThresholds &thr,
     sys.hierarchy().dumpStats(stats);
     // LLC data writes that are not fills are dirty write-backs and
     // owner interventions — exactly the activity the LLC can "see"
-    // (§3.3).  Stat keys derive from the LLC descriptor's name.
-    const std::string llcName = cfg.llc().name;
-    const double wb =
-        stats[llcName + ".writes"] - stats[llcName + ".fills"];
+    // (§3.3).
+    const double wb = stats["l3.writes"] - stats["l3.fills"];
     const double kiloInstr =
         static_cast<double>(sys.totalInstructions()) / 1000.0;
     m.writebacksPerKiloInstr = kiloInstr > 0 ? wb / kiloInstr : 0.0;

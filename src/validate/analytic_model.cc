@@ -64,20 +64,15 @@ analyticPredict(const AnalyticInput &in, const MachineConfig &cfg,
         return t == CellTech::Edram ? p.edramLeakRatio : 1.0;
     };
 
-    double l1UnitsPerCore = 0.0;
-    for (const CacheLevelSpec &l : cfg.levels) {
-        if (l.role == LevelRole::IL1 || l.role == LevelRole::DL1)
-            l1UnitsPerCore += 1.0;
-    }
     const CacheLevelSpec &l1Spec = cfg.il1();
     const CacheLevelSpec &l2Spec = cfg.l2();
     const CacheLevelSpec &llcSpec = cfg.llc();
 
     // ---- leakage: the closed form both models share ----------------
-    out.leakage = (p.leakL1 * l1UnitsPerCore * cfg.numCores *
+    out.leakage = (p.leakL1 * kL1sPerCore * cfg.numCores *
                    ratio(l1Spec.tech) +
                    p.leakL2 * cfg.numCores * ratio(l2Spec.tech) +
-                   p.leakL3Bank * cfg.numBanks * ratio(llcSpec.tech)) *
+                   p.leakL3Bank * cfg.numBanks() * ratio(llcSpec.tech)) *
                   sec;
 
     // ---- refresh: occupancy x refresh rate per eDRAM level ---------
@@ -125,18 +120,18 @@ analyticPredict(const AnalyticInput &in, const MachineConfig &cfg,
 
     // The tiny L1s stay resident (the hot set alone fills them).
     out.refresh =
-        levelRefresh(l1Spec, l1UnitsPerCore * cfg.numCores, 1.0,
+        levelRefresh(l1Spec, kL1sPerCore * cfg.numCores, 1.0,
                      p.eL1Access) +
         levelRefresh(l2Spec, cfg.numCores,
                      occupancyOf(perCoreBytes,
                                  static_cast<double>(
                                      l2Spec.geom.sizeBytes)),
                      p.eL2Access) +
-        levelRefresh(llcSpec, cfg.numBanks,
+        levelRefresh(llcSpec, cfg.numBanks(),
                      occupancyOf(totalBytes,
                                  static_cast<double>(
                                      llcSpec.geom.sizeBytes) *
-                                     cfg.numBanks),
+                                     cfg.numBanks()),
                      p.eL3Access);
 
     // ---- dynamic, DRAM, core, net ----------------------------------
@@ -147,7 +142,7 @@ analyticPredict(const AnalyticInput &in, const MachineConfig &cfg,
     out.core = p.eCorePerInstr * in.instructions +
                p.leakCore * cfg.numCores * sec;
     out.net = kNetPerMiss * misses *
-              (cfg.torusDim * p.eNetPerHop + p.eNetPerDataMsg);
+              (cfg.torusDim() * p.eNetPerHop + p.eNetPerDataMsg);
     return out;
 }
 

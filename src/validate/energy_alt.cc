@@ -23,11 +23,6 @@ computeEnergyAlt(const AltEnergyParams &p, const HierarchyCounts &n,
         return std::min(1.0, offLineTicks / denom);
     };
 
-    double l1UnitsPerCore = 0.0;
-    for (const CacheLevelSpec &l : cfg.levels) {
-        if (l.role == LevelRole::IL1 || l.role == LevelRole::DL1)
-            l1UnitsPerCore += 1.0;
-    }
     const CacheLevelSpec &l1Spec = cfg.il1();
     const CacheLevelSpec &l2Spec = cfg.l2();
     const CacheLevelSpec &llcSpec = cfg.llc();
@@ -53,15 +48,15 @@ computeEnergyAlt(const AltEnergyParams &p, const HierarchyCounts &n,
     // exactly as the primary model does.
     const double kb = 1.0 / 1024.0;
     const double l1Kb = static_cast<double>(l1Spec.geom.sizeBytes) * kb *
-                        l1UnitsPerCore * cfg.numCores;
+                        kL1sPerCore * cfg.numCores;
     const double l2Kb = static_cast<double>(l2Spec.geom.sizeBytes) * kb *
                         cfg.numCores;
     const double l3Kb = static_cast<double>(llcSpec.geom.sizeBytes) * kb *
-                        cfg.numBanks;
+                        cfg.numBanks();
     const double l2Lines =
         static_cast<double>(l2Spec.geom.numLines()) * cfg.numCores;
     const double l3Lines =
-        static_cast<double>(llcSpec.geom.numLines()) * cfg.numBanks;
+        static_cast<double>(llcSpec.geom.numLines()) * cfg.numBanks();
 
     e.l1Leak = p.leakL1PerKb * l1Kb * ratio(l1Spec.tech) * sec;
     e.l2Leak = p.leakL2PerKb * l2Kb * ratio(l2Spec.tech) * sec *

@@ -257,7 +257,7 @@ runValidate(const ValidateOptions &opts, ValidateReport *reportOut)
             if (row.maxTempC > 0)
                 eff *= cfg.retention.thermal.factorAt(row.maxTempC);
             const double l3Total = static_cast<double>(bankLines) *
-                                   cfg.numBanks;
+                                   cfg.numBanks();
             const double ceiling =
                 l3Total * (fdiv(row.execTicks, eff) + 2.0) *
                 kCeilingSlack;

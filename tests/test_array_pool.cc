@@ -75,13 +75,9 @@ expectSameRun(const RunResult &a, const RunResult &b)
 std::uint64_t
 machineLines(const MachineConfig &cfg)
 {
-    std::uint64_t n = 0;
-    for (const CacheLevelSpec &lv : cfg.levels) {
-        const std::uint64_t units = lv.sharing == Sharing::Private
-                                        ? cfg.numCores
-                                        : cfg.numBanks;
-        n += units * lv.geom.numLines();
-    }
+    std::uint64_t n = std::uint64_t{cfg.numBanks()} * cfg.llc().geom.numLines();
+    for (const CacheLevelSpec *lv : {&cfg.il1(), &cfg.dl1(), &cfg.l2()})
+        n += std::uint64_t{cfg.numCores} * lv->geom.numLines();
     return n;
 }
 
@@ -174,7 +170,7 @@ TEST(ArrayPoolTest, HoldsOnlyTheLastMachinesArrays)
         SCOPED_TRACE(std::to_string(cfg.numCores) + " cores");
         runOnce(cfg, app, sim, EnergyParams::calibrated(), nullptr, &pool);
         EXPECT_EQ(pool.heldArrays(),
-                  3u * cfg.numCores + cfg.numBanks); // IL1, DL1, L2; banks
+                  3u * cfg.numCores + cfg.numBanks()); // IL1, DL1, L2; banks
         EXPECT_EQ(pool.heldLines(), machineLines(cfg));
     }
 }

@@ -577,7 +577,7 @@ printRun(const Workload &app, const MachineConfig &cfg, const Args &a)
                     cfg.llc().policy.name().c_str(), a.retentionUs);
     if (cfg.numCores != 16)
         std::printf("  cores %u (%ux%u torus)", cfg.numCores,
-                    cfg.torusDim, cfg.torusDim);
+                    cfg.torusDim(), cfg.torusDim());
     std::printf("\n");
     if (cfg.thermal.enabled)
         std::printf("thermal        ambient %.1f C  peak %.1f C  "
