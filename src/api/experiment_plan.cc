@@ -278,8 +278,9 @@ ExperimentPlan::tryFromJson(const std::string &text, ExperimentPlan &out,
                               s.app.c_str(), s.cores, b, bs.cores);
             }
             // Resolve the workload eagerly so a bad plan fails before
-            // any simulation starts.
-            if (findWorkload(s.app) == nullptr)
+            // any simulation starts; the run uses the resolved pointer.
+            s.workload = findWorkload(s.app);
+            if (s.workload == nullptr)
                 planError("plan scenario names unknown application "
                           "'%s'\n%s",
                           s.app.c_str(),

@@ -1,5 +1,6 @@
 #include "api/result_store.hh"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -35,6 +36,13 @@ constexpr std::size_t kNumCacheFields =
 static_assert(kNumCacheFields == sizeof(CacheRow) / sizeof(double),
               "every CacheRow field must be serialized");
 
+/** Fields runFromCacheRow() casts to an unsigned 64-bit count. */
+constexpr double CacheRow::*kCountFields[] = {
+    &CacheRow::execTicks,    &CacheRow::instructions, &CacheRow::dramAccesses,
+    &CacheRow::l3Misses,     &CacheRow::refreshes3,   &CacheRow::refWbs,
+    &CacheRow::refInvals,    &CacheRow::decayed,
+};
+
 /** Field count of the v8 alternate-backend tail (altPresent..altNet). */
 constexpr std::size_t kNumAltCacheFields = 10;
 
@@ -67,12 +75,17 @@ decodeCacheRow(const std::string &payload, CacheRow &c)
     std::stringstream ss(payload);
     std::string tok;
     std::size_t i = 0;
-    while (i < kNumCacheFields && std::getline(ss, tok, ',')) {
+    while (std::getline(ss, tok, ',')) {
         char *end = nullptr;
         const double v = std::strtod(tok.c_str(), &end);
-        if (end == tok.c_str() || *end != '\0')
+        if (i == kNumCacheFields || end == tok.c_str() || *end != '\0' ||
+            !std::isfinite(v))
             return false;
         c.*kCacheFields[i++] = v;
+    }
+    for (double CacheRow::*f : kCountFields) {
+        if (!(c.*f >= 0 && c.*f < 0x1p64))
+            return false;
     }
     return i == kNumCacheFields || i == kNumBaseCacheFields;
 }

@@ -94,8 +94,9 @@ struct Scenario
 
     /**
      * Resolved workload.  Plan builders that already hold a Workload
-     * (including non-paper micro workloads) set it directly; scenarios
-     * loaded from a JSON plan leave it null and resolve by name.
+     * (including non-paper micro workloads) set it directly, and the
+     * JSON plan loader sets the registry's instance; null only on
+     * scenarios built field by field, which resolve by name.
      */
     const Workload *workload = nullptr;
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <mutex>
 
 #include "common/arena.hh"
@@ -29,11 +28,8 @@ namespace
  *    restored to construction state (only its touched sets) and gave
  *    back, so a run on the same machine allocates and initialises no
  *    array storage.
- *  - workloads: memoized registry resolution per app spec, skipping
- *    the registry's parse + lock on repeat specs.
  *
- * None of this can affect results: workloads are value-identical to
- * what Scenario would resolve, the arena only moves allocations
+ * None of this can affect results: the arena only moves allocations
  * (common/arena.hh, determinism note), and a recycled array equals a
  * fresh one (mem/array_pool.hh).  Each scenario builds its own
  * machine: a build costs less than a memo key and lookup did.
@@ -42,7 +38,6 @@ struct WorkerCtx
 {
     Arena arena;
     ArrayPool arrays;
-    std::map<std::string, const Workload *> workloads;
 };
 
 } // namespace
@@ -71,10 +66,6 @@ Session::run(const ExperimentPlan &plan,
     std::atomic<std::size_t> skipped{0};
     std::atomic<std::int64_t> busyNanos{0};
     const auto wallStart = std::chrono::steady_clock::now();
-    const auto deadline =
-        wallStart + std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(deadlineSeconds));
 
     SweepResult out;
 
@@ -123,7 +114,11 @@ Session::run(const ExperimentPlan &plan,
     std::vector<WorkerCtx> ctxs(jobs);
     parallelForWorkers(n, jobs, [&](std::size_t i, unsigned worker) {
         const auto t0 = std::chrono::steady_clock::now();
-        if (deadlineSeconds > 0 && t0 >= deadline) {
+        // Compared in double seconds: a deadline past the clock's range
+        // (about 9.2e9 s) never expires instead of overflowing.
+        if (deadlineSeconds > 0 &&
+            std::chrono::duration<double>(t0 - wallStart).count() >=
+                deadlineSeconds) {
             // Cooperative overload control: the budget is spent, so
             // abandon instead of starting more work.
             skipped.fetch_add(1, std::memory_order_relaxed);
@@ -158,21 +153,11 @@ Session::run(const ExperimentPlan &plan,
             inform("simulating ...");
             WorkerCtx &ctx = ctxs[worker];
             const MachineConfig cfg = sc.machine(plan.energy);
-            // Batch effect of per-worker claiming: scenarios sharing an
-            // app spec hit the worker's memo, so only the first run of
-            // each pays resolution.
-            const Workload *wl = sc.workload;
-            if (wl == nullptr) {
-                const Workload *&slot = ctx.workloads[sc.app];
-                if (slot == nullptr)
-                    slot = &sc.resolveWorkload();
-                wl = slot;
-            }
             // All prior arena-backed state (the previous scenario's
             // simulator) is dead by now; recycle the chunks.
             ctx.arena.reset();
-            RunResult r = runOnce(cfg, *wl, sc.sim, plan.energy,
-                                  &ctx.arena, &ctx.arrays);
+            RunResult r = runOnce(cfg, sc.resolveWorkload(), sc.sim,
+                                  plan.energy, &ctx.arena, &ctx.arrays);
             // Stamp the plan's labels (0.0 retention for SRAM
             // baselines; the scenario's own app spelling, which for a
             // spec workload may be terser than the canonical name the

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -114,10 +115,14 @@ struct ServeCounters
     std::size_t idleClosed = 0; ///< connections closed: idle timeout
 };
 
-/** Arm a receive timeout on @p fd; 0 disables (wait forever). */
+/** Arm a receive timeout on @p fd; 0 disables (wait forever), and so
+ *  does a timeout too long for a time_t. */
 void
 setReadTimeout(int fd, double seconds)
 {
+    if (!(seconds <
+          static_cast<double>(std::numeric_limits<time_t>::max())))
+        return;
     timeval tv{};
     tv.tv_sec = static_cast<time_t>(seconds);
     tv.tv_usec = static_cast<suseconds_t>(

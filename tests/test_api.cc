@@ -438,6 +438,13 @@ randomField(std::mt19937_64 &rng)
 
 TEST(CacheRowCodecTest, EncodesAsAPrintfJoinAndRoundTrips)
 {
+    // The decoder refuses a count outside [0, 2^64): runFromCacheRow
+    // casts the eight counts to integers.
+    constexpr double CacheRow::*counts[] = {
+        &CacheRow::execTicks,  &CacheRow::instructions,
+        &CacheRow::dramAccesses, &CacheRow::l3Misses,
+        &CacheRow::refreshes3, &CacheRow::refWbs,
+        &CacheRow::refInvals,  &CacheRow::decayed};
     std::mt19937_64 rng(7);
     for (int i = 0; i < 2000; ++i) {
         CacheRow c{};
@@ -446,6 +453,8 @@ TEST(CacheRowCodecTest, EncodesAsAPrintfJoinAndRoundTrips)
         const bool alt = i % 2 == 1;
         for (std::size_t f = 0; f < n; ++f)
             fields[f] = randomField(rng);
+        for (double CacheRow::*f : counts)
+            c.*f = std::fmod(std::fabs(c.*f), 0x1p64);
         c.altPresent = alt ? 1 : 0;
         if (!alt)
             c.altL1 = c.altL2 = c.altL3 = c.altDram = c.altDynamic =
@@ -472,6 +481,9 @@ TEST(ExperimentPlanTest, JsonRoundTripIsIdentity)
     const std::string dumped = plan.toJson();
     const ExperimentPlan reloaded = ExperimentPlan::fromJson(dumped);
     EXPECT_EQ(reloaded, plan);
+    // The loader keeps the workload it resolved.
+    for (const Scenario &sc : reloaded.scenarios)
+        EXPECT_EQ(sc.workload, findWorkload(sc.app)) << sc.app;
 
     // load -> dump -> load: the dump of the reloaded plan is
     // byte-identical, and parsing it again yields the same plan.
@@ -1145,8 +1157,8 @@ TEST(SessionTest, MethodWorkloadsRoundTripPlanJsonAndCache)
                              "serve:rps=2e6,ws=4096,data=65536"}) {
         const ExperimentPlan plan = specPlan(spec);
         // The scenario's app is the canonical spec and survives the
-        // JSON round trip identically (the reloaded plan re-resolves
-        // it through the registry by name).
+        // JSON round trip identically (the loader resolves it through
+        // the registry and keeps the instance).
         const ExperimentPlan reloaded =
             ExperimentPlan::fromJson(plan.toJson());
         EXPECT_EQ(reloaded, plan) << spec;

@@ -667,11 +667,14 @@ TEST(SessionDeadlineTest, SkipsUnstartedScenariosPastTheDeadline)
     EXPECT_EQ(r.raw.size(), plan.size() - r.metrics.skipped);
     EXPECT_EQ(r.metrics.scenarios, plan.size());
 
-    // No deadline: nothing is ever skipped.
-    Session fresh(nullptr, 1);
-    const SweepResult full = fresh.run(plan);
-    EXPECT_EQ(full.metrics.skipped, 0u);
-    EXPECT_EQ(full.raw.size(), plan.size());
+    // No deadline, or one past the clock's range: nothing is ever
+    // skipped.
+    for (const double deadline : {0.0, 1e10}) {
+        Session fresh(nullptr, 1);
+        const SweepResult full = fresh.run(plan, {}, deadline);
+        EXPECT_EQ(full.metrics.skipped, 0u) << deadline;
+        EXPECT_EQ(full.raw.size(), plan.size()) << deadline;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -885,6 +888,42 @@ TEST(ServeTest, IdleClientIsDisconnectedAfterTheTimeout)
     // The service survived the idle client and still answers.
     const int fd = connectUnix(opts.socketPath);
     ASSERT_GE(fd, 0);
+    EXPECT_TRUE(sendLine(fd, "{\"op\":\"shutdown\"}"));
+    EXPECT_EQ(readLine(fd), "{\"bye\":true}");
+    ::close(fd);
+    const int status = waitExit(server);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(ServeTest, TimeoutsTooLongForTheClockMeanNoTimeout)
+{
+    TempDir dir;
+    ServeOptions opts;
+    opts.socketPath = dir.file("s.sock");
+    opts.requestTimeoutSec = 1e10;
+    opts.idleTimeoutSec = 1e300;
+    opts.jobs = 1;
+    ServerGuard server{forkServe(opts)};
+    ASSERT_GE(server.pid, 0);
+
+    // An SRAM baseline and one eDRAM scenario of fft both run.
+    const int fd = connectUnix(opts.socketPath);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(sendLine(
+        fd, "{\"plan\": \"x\", \"version\": 1, \"scenarios\": ["
+            "{\"app\": \"fft\", \"config\": \"SRAM\", "
+            "\"retentionUs\": 0, \"ambientC\": 0, \"cores\": 4, "
+            "\"refs\": 100, \"seed\": 1, \"baseline\": -1}, "
+            "{\"app\": \"fft\", \"config\": \"P.all\", "
+            "\"retentionUs\": 50, \"ambientC\": 0, \"cores\": 4, "
+            "\"refs\": 100, \"seed\": 1, \"baseline\": 0}]}"));
+    // Rows, then the terminator: the done summary, not a deadline
+    // error.
+    std::string line = readLine(fd);
+    while (line.rfind("{\"plan\"", 0) == 0)
+        line = readLine(fd);
+    EXPECT_EQ(line.rfind("{\"done\":true", 0), 0u) << line;
     EXPECT_TRUE(sendLine(fd, "{\"op\":\"shutdown\"}"));
     EXPECT_EQ(readLine(fd), "{\"bye\":true}");
     ::close(fd);

@@ -217,6 +217,37 @@ TEST(CacheRowCodecTest, LegacyPrefixLengthsAreRejected)
     EXPECT_FALSE(decodeCacheRow("", junk));
     EXPECT_FALSE(
         decodeCacheRow(payload.substr(0, cut) + ",7", junk));
+
+    // A payload longer than a full row is not a row either; nor is one
+    // with a non-finite field or a count an integer cannot hold.
+    CacheRow full = sampleRow();
+    full.altPresent = 1;
+    const std::string fullPayload = encodeCacheRow(full);
+    ASSERT_TRUE(decodeCacheRow(fullPayload, junk));
+    EXPECT_FALSE(decodeCacheRow(fullPayload + ",7", junk));
+    EXPECT_FALSE(decodeCacheRow(fullPayload + ",7,7", junk));
+    auto withField = [&](std::size_t field, const std::string &text) {
+        std::string out;
+        std::size_t f = 0, start = 0;
+        for (std::size_t i = 0; i <= payload.size(); ++i) {
+            if (i < payload.size() && payload[i] != ',')
+                continue;
+            out += f == field ? text : payload.substr(start, i - start);
+            if (i < payload.size())
+                out += ',';
+            ++f;
+            start = i + 1;
+        }
+        return out;
+    };
+    ASSERT_TRUE(decodeCacheRow(withField(0, "12345"), junk));
+    EXPECT_FALSE(decodeCacheRow(withField(2, "nan"), junk));
+    EXPECT_FALSE(decodeCacheRow(withField(2, "inf"), junk));
+    EXPECT_FALSE(decodeCacheRow(withField(0, "nan"), junk));
+    EXPECT_FALSE(decodeCacheRow(withField(0, "-1"), junk));
+    EXPECT_FALSE(decodeCacheRow(withField(1, "18446744073709551616"), junk));
+    EXPECT_FALSE(decodeCacheRow(withField(16, "-2"), junk));
+    EXPECT_TRUE(decodeCacheRow(withField(16, "18446744073709549568"), junk));
 }
 
 // ---------------------------------------------------------------------
