@@ -41,7 +41,7 @@ struct Hierarchy::TargetAdapter : public RefreshTarget
     {
     }
 
-    /** Protocol role class of a descriptor (both L1s are one class). */
+    /** Protocol role class of a level (both L1s are one class). */
     static Level
     of(LevelRole r)
     {

@@ -229,7 +229,7 @@ class Hierarchy
     unsigned bankShift_ = 0;
     Addr bankMask_ = 0;
 
-    /** LLC bank geometry, copied out of the descriptor for the hot
+    /** LLC bank geometry, copied out of the config for the hot
      *  access path (line alignment, index math). */
     CacheGeometry llcGeom_;
 

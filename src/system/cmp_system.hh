@@ -1,6 +1,6 @@
 /**
  * @file
- * CmpSystem assembles one machine from its MachineConfig descriptors:
+ * CmpSystem assembles one machine from its MachineConfig:
  * event queue, coherent hierarchy with refresh engines, and one
  * trace-driven core per configured core replaying one workload.  One
  * CmpSystem instance is one experiment run.

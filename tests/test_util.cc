@@ -13,7 +13,7 @@ namespace refrint::test
 MachineConfig
 tinyConfig(CellTech tech, std::uint32_t cores)
 {
-    // Scale the paper machine down through the descriptors: small
+    // Scale the paper machine down through its levels: small
     // caches and a short retention so refresh activity shows up within
     // microseconds.  Line size and latencies match the paper config.
     MachineConfig c = MachineConfig::paper(cores);
