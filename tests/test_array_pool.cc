@@ -75,7 +75,8 @@ expectSameRun(const RunResult &a, const RunResult &b)
 std::uint64_t
 machineLines(const MachineConfig &cfg)
 {
-    std::uint64_t n = std::uint64_t{cfg.numBanks()} * cfg.llc().geom.numLines();
+    std::uint64_t n =
+        std::uint64_t{cfg.numBanks()} * cfg.llc().geom.numLines();
     for (const CacheLevelSpec *lv : {&cfg.il1(), &cfg.dl1(), &cfg.l2()})
         n += std::uint64_t{cfg.numCores} * lv->geom.numLines();
     return n;
