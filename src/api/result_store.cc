@@ -72,6 +72,9 @@ encodeCacheRow(const CacheRow &c)
 bool
 decodeCacheRow(const std::string &payload, CacheRow &c)
 {
+    // getline yields no empty last field, so refuse a trailing comma.
+    if (!payload.empty() && payload.back() == ',')
+        return false;
     std::stringstream ss(payload);
     std::string tok;
     std::size_t i = 0;

@@ -64,9 +64,10 @@ std::string encodeCacheRow(const CacheRow &c);
  * version row (with the alternate-backend tail) or a base-length row
  * (v7, or any v8 row written without a second-opinion estimate); the
  * tail of a base-length row then reads as zero, which is its true
- * value.  False for any other field count, a non-finite field, or a
- * count (ticks, instructions, accesses, misses, refreshes) that is
- * negative or past 2^64.  @p c must be zero-initialized by the caller.
+ * value.  False for any other field count, an empty field or a
+ * trailing comma, a non-finite field, or a count (ticks,
+ * instructions, accesses, misses, refreshes) that is negative or past
+ * 2^64.  @p c must be zero-initialized by the caller.
  */
 bool decodeCacheRow(const std::string &payload, CacheRow &c);
 

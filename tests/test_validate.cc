@@ -226,6 +226,8 @@ TEST(CacheRowCodecTest, LegacyPrefixLengthsAreRejected)
     ASSERT_TRUE(decodeCacheRow(fullPayload, junk));
     EXPECT_FALSE(decodeCacheRow(fullPayload + ",7", junk));
     EXPECT_FALSE(decodeCacheRow(fullPayload + ",7,7", junk));
+    EXPECT_FALSE(decodeCacheRow(fullPayload + ",", junk));
+    EXPECT_FALSE(decodeCacheRow(payload + ",", junk));
     auto withField = [&](std::size_t field, const std::string &text) {
         std::string out;
         std::size_t f = 0, start = 0;
